@@ -213,31 +213,40 @@ void CkptManager::capture_begin(const proc::PcbPtr& pcb, bool keep_frozen,
   active_captures_.insert(pid);
 
   procs().freeze(pcb, [this, token] {
-    auto it = captures_.find(token);
-    if (it == captures_.end()) return;  // crashed meanwhile
-    notify_stage(it->second.pcb->pid, CkptStage::kFrozen);
+    Capture* c = live_capture(token);
+    if (c == nullptr) return;
+    notify_stage(c->pcb->pid, CkptStage::kFrozen);
     capture_flush(token);
   });
 }
 
-void CkptManager::capture_flush(std::uint64_t token) {
+CkptManager::Capture* CkptManager::live_capture(std::uint64_t token) {
   auto it = captures_.find(token);
-  if (it == captures_.end()) return;
+  if (it == captures_.end()) return nullptr;  // crashed meanwhile
+  const proc::PcbPtr& pcb = it->second.pcb;
+  if (procs().find(pcb->pid) == pcb && pcb->space) return &it->second;
+  capture_fail(token, Status(Err::kSrch, "process reaped during capture"));
+  return nullptr;
+}
+
+void CkptManager::capture_flush(std::uint64_t token) {
+  Capture* c = live_capture(token);
+  if (c == nullptr) return;
   // Output-commit: data the program believes written may still sit dirty in
   // this host's cache. A restart elsewhere replays from the checkpoint
   // onward; bytes written *before* the capture must already be durable or
   // the replayed run diverges from the surviving file contents.
   std::vector<fs::FileId> ids;
-  for (const auto& [fd, s] : it->second.pcb->fds) {
+  for (const auto& [fd, s] : c->pcb->fds) {
     (void)fd;
     if (std::find(ids.begin(), ids.end(), s->file) == ids.end())
       ids.push_back(s->file);
   }
   flush_files(std::move(ids), 0, [this, token](Status st) {
-    auto it = captures_.find(token);
-    if (it == captures_.end()) return;
+    Capture* c = live_capture(token);
+    if (c == nullptr) return;
     if (!st.is_ok()) return capture_fail(token, st);
-    notify_stage(it->second.pcb->pid, CkptStage::kFlushed);
+    notify_stage(c->pcb->pid, CkptStage::kFlushed);
     // Serialize the PCB record and page maps (migration's encapsulate
     // sibling).
     host_.cpu().submit(sim::JobClass::kKernel,
@@ -258,9 +267,9 @@ void CkptManager::flush_files(std::vector<fs::FileId> ids, std::size_t i,
 }
 
 void CkptManager::capture_load_chain(std::uint64_t token) {
-  auto it = captures_.find(token);
-  if (it == captures_.end()) return;
-  const proc::Pid pid = it->second.pcb->pid;
+  Capture* c = live_capture(token);
+  if (c == nullptr) return;
+  const proc::Pid pid = c->pcb->pid;
   if (chains_.count(pid)) return capture_plan(token);
 
   // Unknown chain: first capture here, or the process arrived by migration
@@ -269,12 +278,12 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
   // incremental (the checkpoint-dirty plane travelled in the space
   // descriptor).
   read_head_seqs(pid, [this, token, pid](std::vector<std::int64_t> cands) {
-    auto it = captures_.find(token);
-    if (it == captures_.end()) return;
+    Capture* c = live_capture(token);
+    if (c == nullptr) return;
     if (cands.empty()) return capture_plan(token);  // fresh chain, seq 1
     // New captures must land above everything on disk, including a capture
     // whose chain meta turns out unreadable (its files still exist).
-    it->second.seq_floor = cands.front();
+    c->seq_floor = cands.front();
     auto cands_p =
         std::make_shared<std::vector<std::int64_t>>(std::move(cands));
     auto try_meta = std::make_shared<std::function<void(std::size_t)>>();
@@ -291,8 +300,7 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
       if (!self) return;
       read_image_file(meta_path(pid, (*cands_p)[i]),
                       [this, token, pid, i, self](Result<fs::Bytes> mr) {
-                        auto it = captures_.find(token);
-                        if (it == captures_.end()) return;
+                        if (live_capture(token) == nullptr) return;
                         if (mr.is_ok()) {
                           auto m = CkptMeta::decode(*mr);
                           if (m.is_ok() && m->pid == pid) {
@@ -310,9 +318,9 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
 }
 
 void CkptManager::capture_plan(std::uint64_t token) {
-  auto it = captures_.find(token);
-  if (it == captures_.end()) return;
-  Capture& c = it->second;
+  Capture* live = live_capture(token);
+  if (live == nullptr) return;
+  Capture& c = *live;
   const proc::Pid pid = c.pcb->pid;
   const int chain_max = host_.cluster().costs().ckpt_chain_max;
 
@@ -405,52 +413,48 @@ CkptMeta CkptManager::build_meta(const proc::Pcb& pcb, std::int64_t seq,
 }
 
 void CkptManager::capture_write_pages(std::uint64_t token) {
-  auto it = captures_.find(token);
-  if (it == captures_.end()) return;
-  Capture& c = it->second;
+  Capture* c = live_capture(token);
+  if (c == nullptr) return;
   const std::int64_t nbytes =
-      c.meta.captured_pages() * host_.cluster().costs().page_size;
-  write_image_zeros(pages_path(c.pcb->pid, c.seq), nbytes,
-                    [this, token](Status st) {
-                      auto it = captures_.find(token);
-                      if (it == captures_.end()) return;
-                      if (!st.is_ok()) return capture_fail(token, st);
-                      notify_stage(it->second.pcb->pid,
-                                   CkptStage::kPagesWritten);
-                      capture_write_meta(token);
-                    });
+      c->meta.captured_pages() * host_.cluster().costs().page_size;
+  write_image_file(pages_path(c->pcb->pid, c->seq), fs::Extent::zeros(nbytes),
+                   [this, token](Status st) {
+                     Capture* c = live_capture(token);
+                     if (c == nullptr) return;
+                     if (!st.is_ok()) return capture_fail(token, st);
+                     notify_stage(c->pcb->pid, CkptStage::kPagesWritten);
+                     capture_write_meta(token);
+                   });
 }
 
 void CkptManager::capture_write_meta(std::uint64_t token) {
-  auto it = captures_.find(token);
-  if (it == captures_.end()) return;
-  Capture& c = it->second;
-  write_image_file(meta_path(c.pcb->pid, c.seq), c.meta.encode(),
+  Capture* c = live_capture(token);
+  if (c == nullptr) return;
+  write_image_file(meta_path(c->pcb->pid, c->seq), c->meta.encode(),
                    [this, token](Status st) {
-                     auto it = captures_.find(token);
-                     if (it == captures_.end()) return;
+                     Capture* c = live_capture(token);
+                     if (c == nullptr) return;
                      if (!st.is_ok()) return capture_fail(token, st);
-                     notify_stage(it->second.pcb->pid,
-                                  CkptStage::kMetaWritten);
+                     notify_stage(c->pcb->pid, CkptStage::kMetaWritten);
                      capture_commit(token);
                    });
 }
 
 void CkptManager::capture_commit(std::uint64_t token) {
-  auto it = captures_.find(token);
-  if (it == captures_.end()) return;
-  const std::int64_t seq = it->second.seq;
+  Capture* live = live_capture(token);
+  if (live == nullptr) return;
+  const std::int64_t seq = live->seq;
   // The head rewrite is the commit point: everything before it is invisible
   // to restart, everything after it is recoverable. Consecutive seqs
   // alternate head slots (seq & 1), so this write never touches the slot
   // naming the previous committed capture — a crash that tears this write
   // garbles only the new slot and restart falls back to the old one.
-  write_image_file(head_path(it->second.pcb->pid, static_cast<int>(seq & 1)),
+  write_image_file(head_path(live->pcb->pid, static_cast<int>(seq & 1)),
                    encode_head(seq), [this, token](Status st) {
-    auto it = captures_.find(token);
-    if (it == captures_.end()) return;
+    if (live_capture(token) == nullptr) return;
     if (!st.is_ok()) return capture_fail(token, st);
 
+    auto it = captures_.find(token);
     Capture c = std::move(it->second);
     captures_.erase(it);
     const proc::Pid pid = c.pcb->pid;
@@ -829,8 +833,7 @@ void CkptManager::restore_stage_step(std::uint64_t token) {
     if (Status st = fs().seek(backing, op.dest_first * page_size);
         !st.is_ok())
       return restore_fail(token, st);
-    fs().write(backing,
-               fs::Bytes(static_cast<std::size_t>(op.count * page_size), 0),
+    fs().write(backing, fs::Extent::zeros(op.count * page_size),
                [this, token, op](Result<std::int64_t> w) {
                  auto it = restores_.find(token);
                  if (it == restores_.end()) return;
@@ -1272,7 +1275,7 @@ void CkptManager::collect_peer_interest(std::vector<sim::HostId>& out) const {
 // ---------------------------------------------------------------------------
 // FS helpers
 
-void CkptManager::write_image_file(const std::string& path, fs::Bytes data,
+void CkptManager::write_image_file(const std::string& path, fs::Extent data,
                                    StatusCb cb) {
   // Cache-bypassing write-through: the image must be durable at the server
   // when the callback fires, not parked in this host's delayed-write cache.
@@ -1296,12 +1299,6 @@ void CkptManager::write_image_file(const std::string& path, fs::Bytes data,
                  fs().close(s, [cb, st](Status) { cb(st); });
                });
   });
-}
-
-void CkptManager::write_image_zeros(const std::string& path,
-                                    std::int64_t nbytes, StatusCb cb) {
-  write_image_file(path, fs::Bytes(static_cast<std::size_t>(nbytes), 0),
-                   std::move(cb));
 }
 
 void CkptManager::read_image_file(const std::string& path, BytesCb cb) {

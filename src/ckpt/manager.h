@@ -183,7 +183,8 @@ class CkptManager : public proc::RestarterIface {
 
  private:
   // One in-flight capture. Closures hold the token and revalidate through
-  // captures_ so a crash (which clears the map) turns them into no-ops.
+  // live_capture() after every async hop: a crash (which clears the map)
+  // turns them into no-ops, and a process reaped under the capture fails it.
   struct Capture {
     proc::PcbPtr pcb;
     StatusCb cb;
@@ -256,6 +257,10 @@ class CkptManager : public proc::RestarterIface {
   void capture_write_meta(std::uint64_t token);
   void capture_commit(std::uint64_t token);
   void capture_fail(std::uint64_t token, util::Status st);
+  // The in-flight capture for `token`, or nullptr when it is gone. A
+  // capture whose process is no longer resident with a space (reaped by a
+  // home-crash verdict or as a stale incarnation) fails kSrch here.
+  Capture* live_capture(std::uint64_t token);
   void compact(proc::Pid pid, std::vector<std::int64_t> seqs);
   void cleanup_chain(proc::Pid pid);
   CkptMeta build_meta(const proc::Pcb& pcb, std::int64_t seq,
@@ -279,10 +284,8 @@ class CkptManager : public proc::RestarterIface {
   void restart_done(proc::Pid pid, sim::HostId target, util::Status st);
 
   // Shared FS helpers (whole-file, cache-bypassing).
-  void write_image_file(const std::string& path, fs::Bytes data,
+  void write_image_file(const std::string& path, fs::Extent data,
                         StatusCb cb);
-  void write_image_zeros(const std::string& path, std::int64_t nbytes,
-                         StatusCb cb);
   using BytesCb = std::function<void(util::Result<fs::Bytes>)>;
   void read_image_file(const std::string& path, BytesCb cb);
   // Reads both head slots and yields the committed-seq candidates that

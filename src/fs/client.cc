@@ -366,7 +366,7 @@ void FsClient::read(const StreamPtr& s, std::int64_t len, ReadCb cb) {
                 if (!r->status.is_ok()) return cb(r->status);
                 auto rep = rpc::body_cast<GroupIoRep>(r->body);
                 SPRITE_CHECK(rep != nullptr);
-                cb(rep->data);
+                cb(rep->data.to_bytes());
               });
     return;
   }
@@ -431,11 +431,13 @@ void FsClient::cached_read(const StreamPtr& s, std::int64_t offset,
         missing = true;  // evicted under memory pressure mid-operation
         break;
       }
+      // A short cached block reads as zeros past its end.
       const Bytes& data = bit->second.data;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(boff + i);
-        out.push_back(idx < data.size() ? data[idx] : 0);
-      }
+      const auto from = std::min(static_cast<std::size_t>(boff), data.size());
+      const auto to = std::min(static_cast<std::size_t>(boff + n), data.size());
+      out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(from),
+                 data.begin() + static_cast<std::ptrdiff_t>(to));
+      out.resize(out.size() + static_cast<std::size_t>(n) - (to - from), 0);
       pos += n;
     }
     if (missing) {
@@ -495,16 +497,13 @@ void FsClient::fetch_blocks(FileId id, std::int64_t first, std::int64_t last,
         SPRITE_CHECK(rep != nullptr);
         FileState& st = state_for(id);
         // Slice the returned range into cache blocks.
-        std::size_t pos = 0;
+        std::int64_t pos = 0;
         for (std::int64_t blk = first;
              blk <= chunk_last && pos < rep->data.size(); ++blk) {
-          const std::size_t n =
-              std::min(static_cast<std::size_t>(costs_.block_size),
-                       rep->data.size() - pos);
+          const std::int64_t n =
+              std::min(costs_.block_size, rep->data.size() - pos);
           CacheBlock cblk;
-          cblk.data.assign(
-              rep->data.begin() + static_cast<std::ptrdiff_t>(pos),
-              rep->data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+          cblk.data = rep->data.slice(pos, n).to_bytes();
           st.blocks[blk] = std::move(cblk);
           touch_lru(id, blk);
           pos += n;
@@ -518,12 +517,12 @@ void FsClient::fetch_blocks(FileId id, std::int64_t first, std::int64_t last,
       });
 }
 
-void FsClient::write(const StreamPtr& s, Bytes data, WriteCb cb) {
+void FsClient::write(const StreamPtr& s, Extent data, WriteCb cb) {
   if (s->type == FileType::kPseudoDevice)
     return cb(Status(Err::kNotSupported, "use pdev_call"));
   if (!s->flags.write) return cb(Status(Err::kBadF, "not open for writing"));
   if (s->type == FileType::kPipe)
-    return pipe_write(s, std::move(data), std::move(cb));
+    return pipe_write(s, std::move(data).to_bytes(), std::move(cb));
 
   if (s->server_offset) {
     auto body = std::make_shared<GroupIoReq>();
@@ -552,7 +551,7 @@ void FsClient::write(const StreamPtr& s, Bytes data, WriteCb cb) {
     cb(std::move(r));
   };
 
-  auto payload = std::make_shared<Bytes>(std::move(data));
+  auto payload = std::make_shared<Extent>(std::move(data));
   auto attempt = std::make_shared<std::function<void(WriteCb)>>(
       [this, s, offset, payload](WriteCb k) {
         const auto it = files_.find(s->file);
@@ -568,9 +567,9 @@ void FsClient::write(const StreamPtr& s, Bytes data, WriteCb cb) {
 }
 
 void FsClient::cached_write(const StreamPtr& s, std::int64_t offset,
-                            Bytes data, WriteCb cb) {
+                            Extent data, WriteCb cb) {
   FileState& st = state_for(s->file);
-  const auto len = static_cast<std::int64_t>(data.size());
+  const std::int64_t len = data.size();
   if (len == 0) return cb(std::int64_t{0});
 
   const std::int64_t first = offset / costs_.block_size;
@@ -592,25 +591,20 @@ void FsClient::cached_write(const StreamPtr& s, std::int64_t offset,
   auto apply = [this, s, offset, data = std::move(data), shared_cb]() {
     WriteCb cb = std::move(*shared_cb);
     FileState& st = state_for(s->file);
-    const auto len = static_cast<std::int64_t>(data.size());
+    const std::int64_t len = data.size();
     std::int64_t pos = offset;
-    std::size_t src = 0;
-    while (src < data.size()) {
+    for (std::int64_t src = 0; src < len;) {
       const std::int64_t blk = pos / costs_.block_size;
       const std::int64_t boff = pos % costs_.block_size;
-      const std::int64_t n = std::min<std::int64_t>(
-          costs_.block_size - boff,
-          static_cast<std::int64_t>(data.size() - src));
+      const std::int64_t n = std::min(costs_.block_size - boff, len - src);
       CacheBlock& cblk = st.blocks[blk];
       if (static_cast<std::int64_t>(cblk.data.size()) < boff + n)
         cblk.data.resize(static_cast<std::size_t>(boff + n), 0);
-      std::copy(data.begin() + static_cast<std::ptrdiff_t>(src),
-                data.begin() + static_cast<std::ptrdiff_t>(src + n),
-                cblk.data.begin() + static_cast<std::ptrdiff_t>(boff));
+      data.copy_to(src, n, cblk.data.data() + boff);
       cblk.dirty = true;
       touch_lru(s->file, blk);
       pos += n;
-      src += static_cast<std::size_t>(n);
+      src += n;
     }
     st.size = std::max(st.size, offset + len);
     enforce_capacity();
@@ -674,24 +668,25 @@ void FsClient::remote_read(FileId id, std::int64_t offset, std::int64_t len,
                 if (!r->status.is_ok()) return cb(r->status);
                 auto rep = rpc::body_cast<ReadRep>(r->body);
                 SPRITE_CHECK(rep != nullptr);
-                st->out.insert(st->out.end(), rep->data.begin(),
-                               rep->data.end());
-                st->pos += static_cast<std::int64_t>(rep->data.size());
+                const std::int64_t got = rep->data.size();
+                const std::size_t at = st->out.size();
+                st->out.resize(at + static_cast<std::size_t>(got));
+                rep->data.copy_to(0, got, st->out.data() + at);
+                st->pos += got;
                 st->remaining -= n;
-                if (static_cast<std::int64_t>(rep->data.size()) < n)
-                  st->remaining = 0;  // EOF
+                if (got < n) st->remaining = 0;  // EOF
                 (*step)();
               });
   };
   (*step)();
 }
 
-void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
+void FsClient::remote_write(FileId id, std::int64_t offset, Extent data,
                             WriteCb cb) {
   struct State {
-    Bytes data;
+    Extent data;
     std::int64_t pos;
-    std::size_t written = 0;
+    std::int64_t written = 0;
   };
   auto st = std::make_shared<State>(State{std::move(data), offset, 0});
   auto step = std::make_shared<std::function<void()>>();
@@ -704,17 +699,14 @@ void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
       auto fit = files_.find(id);
       if (fit != files_.end())
         fit->second.size = std::max(fit->second.size, st->pos);
-      return cb(static_cast<std::int64_t>(st->written));
+      return cb(st->written);
     }
-    const std::size_t n =
-        std::min(st->data.size() - st->written,
-                 static_cast<std::size_t>(kMaxTransferUnit));
+    const std::int64_t n =
+        std::min(st->data.size() - st->written, kMaxTransferUnit);
     auto body = std::make_shared<WriteReq>();
     body->id = id;
     body->offset = st->pos;
-    body->data.assign(
-        st->data.begin() + static_cast<std::ptrdiff_t>(st->written),
-        st->data.begin() + static_cast<std::ptrdiff_t>(st->written + n));
+    body->data = st->data.slice(st->written, n);
     body->gen = gen_for(id);
     c_remote_writes_->inc();
     rpc_.call(id.server, ServiceId::kFsIo, static_cast<int>(IoOp::kWrite),
@@ -722,7 +714,7 @@ void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
                 if (!r.is_ok()) return cb(r.status());
                 if (!r->status.is_ok()) return cb(r->status);
                 st->written += n;
-                st->pos += static_cast<std::int64_t>(n);
+                st->pos += n;
                 (*step)();
               });
   };
@@ -1545,7 +1537,7 @@ void FsClient::enforce_capacity() {
               return;
             }
             CacheBlock cblk;
-            cblk.data = std::move(body->data);
+            cblk.data = std::move(body->data).to_bytes();
             fit->second.blocks.emplace(blk, std::move(cblk));
             touch_lru(id, blk);
             // Re-dirties the block and schedules a writeback when a retry

@@ -119,8 +119,9 @@ class FsClient {
   // ---- I/O ----
   // Reads up to `len` bytes at the stream's access position (short at EOF).
   void read(const StreamPtr& s, std::int64_t len, ReadCb cb);
-  // Writes all of `data` at the stream's access position.
-  void write(const StreamPtr& s, Bytes data, WriteCb cb);
+  // Writes all of `data` at the stream's access position. Bytes convert
+  // implicitly; Extent::zeros(n) writes n zero bytes without building them.
+  void write(const StreamPtr& s, Extent data, WriteCb cb);
   // Repositions a local access position (kInval for server-managed offsets).
   util::Status seek(const StreamPtr& s, std::int64_t offset);
   // Flushes this file's dirty blocks to the server.
@@ -251,12 +252,12 @@ class FsClient {
   // Fetches the aligned block range [first, last] into the cache, then `fn`.
   void fetch_blocks(FileId id, std::int64_t first, std::int64_t last,
                     std::function<void(util::Status)> fn);
-  void cached_write(const StreamPtr& s, std::int64_t offset, Bytes data,
+  void cached_write(const StreamPtr& s, std::int64_t offset, Extent data,
                     WriteCb cb);
   // Uncached byte-range I/O in <=16 KB runs (Sprite's RPC transfer limit).
   void remote_read(FileId id, std::int64_t offset, std::int64_t len,
                    ReadCb cb);
-  void remote_write(FileId id, std::int64_t offset, Bytes data, WriteCb cb);
+  void remote_write(FileId id, std::int64_t offset, Extent data, WriteCb cb);
 
   void schedule_writeback(FileId id);
   // Blocking pipe semantics: kWouldBlock replies park a retry closure that

@@ -297,21 +297,7 @@ util::Result<Bytes> FsServer::read_direct(FileId id, std::int64_t offset,
                                           std::int64_t len) const {
   const Inode* node = find_inode(id.ino);
   if (node == nullptr) return {Err::kNoEnt, "stale file id"};
-  // const_cast is safe: pread only mutates nothing for const access pattern;
-  // implemented via a copy of the lookup logic to keep pread non-const for
-  // the caching path.
-  Bytes out;
-  const std::int64_t end = std::min(offset + len, node->size);
-  for (std::int64_t pos = offset; pos < end; ++pos) {
-    const std::int64_t blk = pos / costs_.block_size;
-    const std::int64_t off = pos % costs_.block_size;
-    auto it = node->blocks.find(blk);
-    out.push_back(it == node->blocks.end() || off >= static_cast<std::int64_t>(
-                                                         it->second.size())
-                      ? 0
-                      : it->second[static_cast<std::size_t>(off)]);
-  }
-  return out;
+  return pread(*node, offset, len).to_bytes();
 }
 
 bool FsServer::is_cacheable(FileId id) const {
@@ -330,34 +316,30 @@ std::int64_t FsServer::group_offset(FileId id, std::int64_t group) const {
 // Data helpers
 // ---------------------------------------------------------------------------
 
-Bytes FsServer::pread(Inode& node, std::int64_t offset, std::int64_t len) {
-  Bytes out;
-  if (offset >= node.size || len <= 0) return out;
+Extent FsServer::pread(const Inode& node, std::int64_t offset,
+                       std::int64_t len) const {
+  if (offset >= node.size || len <= 0) return {};
   const std::int64_t end = std::min(offset + len, node.size);
-  out.reserve(static_cast<std::size_t>(end - offset));
-  std::int64_t pos = offset;
-  while (pos < end) {
-    const std::int64_t blk = pos / costs_.block_size;
-    const std::int64_t boff = pos % costs_.block_size;
-    const std::int64_t n =
-        std::min(costs_.block_size - boff, end - pos);
-    auto it = node.blocks.find(blk);
-    if (it == node.blocks.end()) {
-      out.insert(out.end(), static_cast<std::size_t>(n), 0);
-    } else {
-      const Bytes& b = it->second;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(boff + i);
-        out.push_back(idx < b.size() ? b[idx] : 0);
-      }
-    }
-    pos += n;
+  const auto first = node.blocks.lower_bound(offset / costs_.block_size);
+  const auto last = node.blocks.lower_bound(
+      (end + costs_.block_size - 1) / costs_.block_size);
+  // Holes and zero runs only: the range reads as a zero run itself.
+  if (std::all_of(first, last,
+                  [](const auto& b) { return b.second.bytes().empty(); }))
+    return Extent::zeros(end - offset);
+  Bytes out(static_cast<std::size_t>(end - offset), 0);
+  for (auto it = first; it != last; ++it) {
+    const std::int64_t base = it->first * costs_.block_size;
+    const std::int64_t from = std::max(offset, base);
+    const std::int64_t to = std::min(end, base + it->second.size());
+    if (from < to)
+      it->second.copy_to(from - base, to - from, out.data() + (from - offset));
   }
   return out;
 }
 
 std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
-                              const Bytes& data) {
+                              const Extent& data) {
   if (data.empty()) return 0;
   // Journal first, then apply, then mark applied: a crash between the first
   // two steps leaves an intact unapplied record (boot replays it); a crash
@@ -367,49 +349,61 @@ std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
   journal_.back().applied = true;
   last_write_ino_ = node.ino;
   last_write_offset_ = offset;
-  last_write_len_ = static_cast<std::int64_t>(data.size());
-  node.size = std::max(node.size,
-                       offset + static_cast<std::int64_t>(data.size()));
-  return static_cast<std::int64_t>(data.size());
+  last_write_len_ = data.size();
+  node.size = std::max(node.size, offset + data.size());
+  return data.size();
 }
 
-std::uint64_t FsServer::block_sum(const Bytes& b) {
+std::uint64_t FsServer::block_sum(const Extent& b) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit
-  for (std::uint8_t byte : b) {
+  std::uint64_t prime = 1099511628211ull;
+  if (b.is_zeros()) {
+    // XOR with a zero byte is a no-op, so n zeros hash to
+    // basis * prime^n (mod 2^64): square-and-multiply.
+    for (auto n = static_cast<std::uint64_t>(b.size()); n != 0; n >>= 1) {
+      if ((n & 1u) != 0) h *= prime;
+      prime *= prime;
+    }
+    return h;
+  }
+  for (std::uint8_t byte : b.bytes()) {
     h ^= byte;
-    h *= 1099511628211ull;
+    h *= prime;
   }
   return h;
 }
 
 void FsServer::write_blocks(Inode& node, std::int64_t offset,
-                            const Bytes& data, bool verify_rmw) {
+                            const Extent& data, bool verify_rmw) {
   std::int64_t pos = offset;
-  std::size_t src = 0;
+  std::int64_t src = 0;
   while (src < data.size()) {
     const std::int64_t blk = pos / costs_.block_size;
     const std::int64_t boff = pos % costs_.block_size;
-    const std::int64_t n = std::min<std::int64_t>(
-        costs_.block_size - boff,
-        static_cast<std::int64_t>(data.size() - src));
-    Bytes& b = node.blocks[blk];
+    const std::int64_t n =
+        std::min(costs_.block_size - boff, data.size() - src);
+    Extent& b = node.blocks[blk];
     // Partial overwrite: some of the block's existing bytes survive.
-    const bool partial =
-        boff > 0 || n < static_cast<std::int64_t>(b.size());
+    const bool partial = boff > 0 || n < b.size();
     if (verify_rmw && partial && !b.empty() && !block_ok(node, blk)) {
       // Read-modify-write over a corrupt block: the untouched bytes are
       // garbage, and recomputing the sum below would bless them. Taint the
       // block so reads keep failing kCorrupt until a repair replaces it.
       node.tainted.insert(blk);
     }
-    if (static_cast<std::int64_t>(b.size()) < boff + n)
-      b.resize(static_cast<std::size_t>(boff + n), 0);
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(src),
-              data.begin() + static_cast<std::ptrdiff_t>(src + n),
-              b.begin() + static_cast<std::ptrdiff_t>(boff));
+    if (!partial) {
+      b = data.slice(src, n);
+    } else if (data.is_zeros() && b.bytes().empty()) {
+      b = Extent::zeros(std::max(b.size(), boff + n));  // zeros over zeros
+    } else {
+      Bytes& bytes = b.mutable_bytes();
+      if (static_cast<std::int64_t>(bytes.size()) < boff + n)
+        bytes.resize(static_cast<std::size_t>(boff + n), 0);
+      data.copy_to(src, n, bytes.data() + boff);
+    }
     node.block_sums[blk] = block_sum(b);
     pos += n;
-    src += static_cast<std::size_t>(n);
+    src += n;
   }
 }
 
@@ -439,7 +433,7 @@ void FsServer::trim_block_meta(Inode& node, std::int64_t keep) {
 }
 
 void FsServer::journal_append(Ino ino, std::int64_t offset,
-                              const Bytes& data) {
+                              const Extent& data) {
   JournalRec rec;
   rec.ino = ino;
   rec.offset = offset;
@@ -475,8 +469,7 @@ void FsServer::journal_recover() {
       // bytes the torn apply garbled, so the rewrite restores them whole.
       write_blocks(it->second, rec.offset, rec.data, /*verify_rmw=*/false);
       it->second.size =
-          std::max(it->second.size,
-                   rec.offset + static_cast<std::int64_t>(rec.data.size()));
+          std::max(it->second.size, rec.offset + rec.data.size());
       c_journal_replayed_->inc();
       sim_.trace().flight_note("fs.journal", "replayed", host(), -1, rec.ino,
                                rec.offset);
@@ -499,7 +492,7 @@ void FsServer::inject_bit_flip(std::uint64_t draw) {
         victims.emplace_back(ino, blk);
   if (victims.empty()) return;
   const auto [ino, blk] = victims[draw % victims.size()];
-  Bytes& b = inode(ino).blocks[blk];
+  Bytes& b = inode(ino).blocks[blk].mutable_bytes();
   b[static_cast<std::size_t>((draw / victims.size()) % b.size())] ^= 0x40;
   // The stored checksum is deliberately left stale: the flip is silent
   // until a read or scrub pass verifies the block.
@@ -528,9 +521,10 @@ void FsServer::tear_last_write(std::uint64_t draw) {
     const std::int64_t to =
         std::min(last_write_offset_ + last_write_len_,
                  (blk + 1) * costs_.block_size);
+    Bytes& b = bit->second.mutable_bytes();
     for (std::int64_t pos = from; pos < to; ++pos) {
       const auto idx = static_cast<std::size_t>(pos % costs_.block_size);
-      if (idx < bit->second.size()) bit->second[idx] ^= 0xA5;
+      if (idx < b.size()) b[idx] ^= 0xA5;
     }
   }
   // The apply died with the crash. Half the draws also tear the journal
@@ -663,7 +657,7 @@ void FsServer::do_repl_fetch_block(const ReplFetchBlockReq& req,
     // corruption must not import ours.
     if (bit != it->second.blocks.end() && block_ok(it->second, req.blk)) {
       rep->found = true;
-      rep->data = bit->second;
+      rep->data = bit->second.to_bytes();
     }
   }
   respond(Reply{Status::ok(), rep});
@@ -1218,16 +1212,10 @@ void FsServer::do_write(HostId, const WriteReq& req, Respond respond) {
   rep->written = pwrite(*node, req.offset, req.data);
   rep->new_size = node->size;
   c_bytes_written_->inc(rep->written);
-  ReplRecord rec;
-  rec.kind = ReplKind::kWrite;
-  rec.ino = req.id.ino;
-  rec.offset = req.offset;
-  rec.data = req.data;
-  rec.size = node->size;
-  rec.version = node->version;
-  replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
-    respond(Reply{Status::ok(), rep});
-  });
+  replicate_write(*node, req.offset, req.data,
+                  [rep, respond = std::move(respond)]() mutable {
+                    respond(Reply{Status::ok(), rep});
+                  });
 }
 
 void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
@@ -1265,16 +1253,10 @@ void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
   c_bytes_written_->inc(rep->written);
   it->second += rep->written;
   rep->new_offset = it->second;
-  ReplRecord rec;
-  rec.kind = ReplKind::kWrite;
-  rec.ino = req.id.ino;
-  rec.offset = woff;
-  rec.data = req.data;
-  rec.size = node->size;
-  rec.version = node->version;
-  replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
-    respond(Reply{Status::ok(), rep});
-  });
+  replicate_write(*node, woff, req.data,
+                  [rep, respond = std::move(respond)]() mutable {
+                    respond(Reply{Status::ok(), rep});
+                  });
 }
 
 void FsServer::notify_pipe_waiters(Inode& node) {
@@ -1448,6 +1430,22 @@ void FsServer::append_log(ReplRecord rec) {
     log_.pop_front();
     ++log_start_seq_;
   }
+}
+
+void FsServer::replicate_write(const Inode& node, std::int64_t offset,
+                               const Extent& data,
+                               std::function<void()> done) {
+  // Only a replicating primary keeps the record; skip copying the payload
+  // into one that replicate() would drop unread.
+  if (!replicated() || role_ != Role::kPrimary) return done();
+  ReplRecord rec;
+  rec.kind = ReplKind::kWrite;
+  rec.ino = node.ino;
+  rec.offset = offset;
+  rec.data = data;
+  rec.size = node.size;
+  rec.version = node.version;
+  replicate({std::move(rec)}, std::move(done));
 }
 
 void FsServer::replicate(std::vector<ReplRecord> recs,

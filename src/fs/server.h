@@ -39,6 +39,12 @@
 // the block space in bounded passes and repairs corrupt blocks from the
 // replica peer (verifying fetched bytes against the local checksum before
 // installing them); without a peer the corruption stays visible as kCorrupt.
+//
+// A zero run (fs::Extent) is stored, journaled and replicated as a block
+// without bytes, and its checksum is computed in closed form, so every sum
+// and check above holds unchanged. Its bytes materialize only when something
+// needs them: a bit flip, a torn write, a partial real-byte overwrite, or a
+// kFetchBlock reply.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +128,8 @@ class FsServer {
   void peer_crashed(sim::HostId h);
 
   // ---- Integrity: checksums, journal, scrubber, fault injection ----
-  // FNV-1a over a block's stored bytes.
-  static std::uint64_t block_sum(const Bytes& b);
+  // FNV-1a over a block's stored bytes; a zero run's sum is closed-form.
+  static std::uint64_t block_sum(const Extent& b);
   // Storage-fault injection (FaultPlan storage hooks). `draw` is the plan's
   // deterministic random value; it picks the victim block / tear shape.
   void inject_bit_flip(std::uint64_t draw);
@@ -172,7 +178,7 @@ class FsServer {
     std::map<std::string, Ino> children;  // directories
     std::int64_t size = 0;
     std::int64_t version = 0;
-    std::map<std::int64_t, Bytes> blocks;  // sparse authoritative data
+    std::map<std::int64_t, Extent> blocks;  // sparse authoritative data
     // Per-block FNV-1a checksums, updated with every block write. A block
     // whose bytes no longer match its sum is corrupt: reads fail kCorrupt
     // and the scrubber repairs it from the replica. Blocks never written
@@ -233,8 +239,8 @@ class FsServer {
   void maybe_reap(Ino i);
 
   // Data helpers (authoritative storage).
-  Bytes pread(Inode& node, std::int64_t offset, std::int64_t len);
-  std::int64_t pwrite(Inode& node, std::int64_t offset, const Bytes& data);
+  Extent pread(const Inode& node, std::int64_t offset, std::int64_t len) const;
+  std::int64_t pwrite(Inode& node, std::int64_t offset, const Extent& data);
 
   // ---- Integrity helpers ----
   // One redo-journal record: a write that is durable once appended. Records
@@ -243,19 +249,19 @@ class FsServer {
   struct JournalRec {
     Ino ino = kInvalidIno;
     std::int64_t offset = 0;
-    Bytes data;
+    Extent data;
     std::uint64_t sum = 0;  // FNV over `data` at append time
     bool applied = false;   // block apply completed before any crash
     bool torn = false;      // the crash garbled the record itself
   };
-  void journal_append(Ino ino, std::int64_t offset, const Bytes& data);
+  void journal_append(Ino ino, std::int64_t offset, const Extent& data);
   void journal_recover();  // boot-time replay-or-discard of unapplied tail
   // Applies `data` at `offset` into the block store and refreshes the
   // touched blocks' checksums. When `verify_rmw` is set, a partially
   // overwritten block is first verified: on mismatch the rewritten block is
   // marked tainted (its untouched bytes were garbage) so reads keep failing
   // kCorrupt instead of serving silently blessed data.
-  void write_blocks(Inode& node, std::int64_t offset, const Bytes& data,
+  void write_blocks(Inode& node, std::int64_t offset, const Extent& data,
                     bool verify_rmw);
   // A stored block is ok when it is untainted and matches its checksum.
   bool block_ok(const Inode& node, std::int64_t blk) const;
@@ -289,6 +295,9 @@ class FsServer {
   // Appends `recs` to the log and pushes them to the backup; runs `done`
   // once the backup acked (or the op was recorded as unreplicated).
   void replicate(std::vector<ReplRecord> recs, std::function<void()> done);
+  // replicate() of one write's record, built only when it will be kept.
+  void replicate_write(const Inode& node, std::int64_t offset,
+                       const Extent& data, std::function<void()> done);
   // Fire-and-forget replication of a pseudo-device (re-)registration.
   void replicate_pdev(const std::string& path, Ino ino, sim::HostId owner_host,
                       int tag);

@@ -1,9 +1,11 @@
 // Shared types for the Sprite network file system substrate.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/ids.h"
@@ -54,6 +56,55 @@ struct OpenFlags {
 };
 
 using Bytes = std::vector<std::uint8_t>;
+
+// The file system's one data payload: real bytes, or a length-only run of
+// zero bytes. Page flushes and checkpoint images write runs — no experiment
+// reads memory contents (src/vm/vm.h) — and the file server stores,
+// journals and checksums a run without ever holding its bytes. size() is
+// the payload's length on the wire and on disk either way.
+class Extent {
+ public:
+  Extent() = default;
+  Extent(Bytes bytes)  // NOLINT: implicit by design
+      : bytes_(std::move(bytes)) {}
+  static Extent zeros(std::int64_t n) {
+    Extent e;
+    e.zeros_ = std::max<std::int64_t>(n, 0);
+    return e;
+  }
+
+  std::int64_t size() const {
+    return zeros_ > 0 ? zeros_ : static_cast<std::int64_t>(bytes_.size());
+  }
+  bool empty() const { return size() == 0; }
+  bool is_zeros() const { return zeros_ > 0; }
+  // The real bytes; empty for a zero run.
+  const Bytes& bytes() const { return bytes_; }
+
+  // Copies [off, off + n) into `out`.
+  void copy_to(std::int64_t off, std::int64_t n, std::uint8_t* out) const {
+    if (zeros_ > 0)
+      std::fill_n(out, n, std::uint8_t{0});
+    else
+      std::copy_n(bytes_.begin() + off, n, out);
+  }
+  Extent slice(std::int64_t off, std::int64_t n) const {
+    if (zeros_ > 0) return zeros(n);
+    return Bytes(bytes_.begin() + off, bytes_.begin() + off + n);
+  }
+  // Materializes a zero run in place, for writes into the payload.
+  Bytes& mutable_bytes() {
+    if (zeros_ > 0) bytes_.assign(static_cast<std::size_t>(zeros_), 0);
+    zeros_ = 0;
+    return bytes_;
+  }
+  Bytes to_bytes() const& { return Extent(*this).to_bytes(); }
+  Bytes to_bytes() && { return std::move(mutable_bytes()); }
+
+ private:
+  Bytes bytes_;
+  std::int64_t zeros_ = 0;  // > 0: a zero run of this length; bytes_ empty
+};
 
 // What the name server returns from a successful open.
 struct OpenResult {

@@ -102,19 +102,19 @@ struct ReadReq : rpc::Message {
 };
 
 struct ReadRep : rpc::Message {
-  Bytes data;
+  Extent data;
   std::int64_t wire_bytes() const override {
-    return 16 + static_cast<std::int64_t>(data.size());
+    return 16 + data.size();
   }
 };
 
 struct WriteReq : rpc::Message {
   FileId id;
   std::int64_t offset = 0;
-  Bytes data;
+  Extent data;
   std::int64_t gen = 0;
   std::int64_t wire_bytes() const override {
-    return 32 + static_cast<std::int64_t>(data.size());
+    return 32 + data.size();
   }
 };
 
@@ -129,19 +129,19 @@ struct GroupIoReq : rpc::Message {
   FileId id;
   std::int64_t group = 0;
   std::int64_t len = 0;   // for kGroupRead
-  Bytes data;             // for kGroupWrite
+  Extent data;            // for kGroupWrite
   std::int64_t gen = 0;
   std::int64_t wire_bytes() const override {
-    return 48 + static_cast<std::int64_t>(data.size());
+    return 48 + data.size();
   }
 };
 
 struct GroupIoRep : rpc::Message {
-  Bytes data;                 // for reads
+  Extent data;                // for reads
   std::int64_t written = 0;   // for writes
   std::int64_t new_offset = 0;
   std::int64_t wire_bytes() const override {
-    return 24 + static_cast<std::int64_t>(data.size());
+    return 24 + data.size();
   }
 };
 
@@ -238,11 +238,11 @@ struct ReplRecord {
   std::int64_t offset = 0;
   std::int64_t size = 0;   // resulting file size (write) / new size (truncate)
   std::int64_t version = 0;  // inode version at the primary after the op
-  Bytes data;
+  Extent data;
   sim::HostId pdev_host = sim::kInvalidHost;
   int pdev_tag = 0;
   std::int64_t bytes() const {
-    return 48 + static_cast<std::int64_t>(path.size() + data.size());
+    return 48 + static_cast<std::int64_t>(path.size()) + data.size();
   }
 };
 
@@ -296,7 +296,7 @@ struct ReplFetchBlockReq : rpc::Message {
 
 struct ReplFetchBlockRep : rpc::Message {
   bool found = false;  // peer has the inode and the block
-  Bytes data;
+  Bytes data;          // real bytes: a repaired block arrives materialized
   std::int64_t wire_bytes() const override {
     return 16 + static_cast<std::int64_t>(data.size());
   }
@@ -309,7 +309,7 @@ struct InodeImage {
   std::int64_t size = 0;
   std::int64_t version = 0;
   std::vector<std::pair<std::string, Ino>> children;  // directories
-  std::map<std::int64_t, Bytes> blocks;               // sparse data blocks
+  std::map<std::int64_t, Extent> blocks;              // sparse data blocks
   sim::HostId pdev_host = sim::kInvalidHost;
   int pdev_tag = 0;
   std::int64_t bytes() const {
@@ -320,7 +320,7 @@ struct InodeImage {
     }
     for (const auto& [blk, data] : blocks) {
       (void)blk;
-      n += 12 + static_cast<std::int64_t>(data.size());
+      n += 12 + data.size();
     }
     return n;
   }

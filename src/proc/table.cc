@@ -440,9 +440,7 @@ void ProcTable::do_write(const PcbPtr& pcb, const SysWrite& a) {
     pcb->view.status = Status(Err::kBadF, "write");
     return finish_action(pcb);
   }
-  fs::Bytes data = a.data;
-  if (data.empty() && a.len > 0)
-    data.assign(static_cast<std::size_t>(a.len), 0);
+  fs::Extent data = a.data.empty() ? fs::Extent::zeros(a.len) : a.data;
   const Pid pid = pcb->pid;
   host_.fs().write(it->second, std::move(data),
                    [this, pid](util::Result<std::int64_t> r) {
@@ -1241,9 +1239,8 @@ void ProcTable::home_file_call(const FileCallReq& req,
       auto sit = rec.resident_streams.find(req.fd);
       if (sit == rec.resident_streams.end())
         return respond(Reply{Status(Err::kBadF, "fwd write"), nullptr});
-      fs::Bytes data = req.data;
-      if (data.empty() && req.len > 0)
-        data.assign(static_cast<std::size_t>(req.len), 0);
+      fs::Extent data =
+          req.data.empty() ? fs::Extent::zeros(req.len) : req.data;
       host_.fs().write(sit->second, std::move(data),
                        [reply_rv, respond](util::Result<std::int64_t> r) {
                          if (!r.is_ok())

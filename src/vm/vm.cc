@@ -395,8 +395,7 @@ void VmManager::flush_segment_runs(
   const auto [first, count] = runs[i];
   const Status se = fs_.seek(st.backing, first * costs_.page_size);
   SPRITE_CHECK(se.is_ok());
-  fs::Bytes zeros(static_cast<std::size_t>(count * costs_.page_size), 0);
-  fs_.write(st.backing, std::move(zeros),
+  fs_.write(st.backing, fs::Extent::zeros(count * costs_.page_size),
             [this, space, seg, runs = std::move(runs), i, first = first,
              count = count, cb = std::move(cb)](
                 util::Result<std::int64_t> r) mutable {

@@ -10,7 +10,9 @@
 //   stack — likewise.
 // Heap/stack pages that were never flushed are zero-fill (no I/O on first
 // touch). Page contents are not materialized — only sizes move through the
-// simulated file system — because no experiment depends on memory bytes.
+// simulated file system — because no experiment depends on memory bytes:
+// a flush writes a length-only zero run (fs::Extent::zeros), which the file
+// server stores, journals and checksums without bytes.
 #pragma once
 
 #include <array>

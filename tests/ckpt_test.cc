@@ -750,6 +750,40 @@ TEST(CkptTest, ChainStaysIncrementalAcrossMigration) {
   EXPECT_EQ(cluster.host(second).ckpt().last_seq(pid), 2);
 }
 
+// A capture whose process is reaped under it — a home-crash verdict, or a
+// superseded incarnation killed after a partition heals; both tear down
+// through ProcTable::reap_on_peer_crash — must fail kSrch at its next async
+// hop instead of building a meta from the dead PCB's null address space.
+TEST(CkptTest, CaptureOfProcessReapedMidCaptureFails) {
+  Cluster cluster({.num_workstations = 3, .num_file_servers = 1, .seed = 1});
+  const auto wss = cluster.workstations();
+  const HostId home = wss[0], runner = wss[1];
+
+  ScriptBuilder b;
+  b.act(proc::Touch{vm::Segment::kHeap, 0, 16, true})
+      .compute(Time::sec(20))
+      .act(proc::SysExit{0});
+  ASSERT_TRUE(cluster.install_program("/bin/w", b.image(8, 16, 2)).is_ok());
+  const Pid pid = spawn_blocking(cluster, home, "/bin/w");
+  cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
+  migrate_blocking(cluster, home, pid, runner);
+
+  ckpt::CkptManager& ck = cluster.host(runner).ckpt();
+  bool reaped = false;
+  ck.add_stage_observer([&](Pid p, CkptStage s) {
+    if (p != pid || s != CkptStage::kFlushed || reaped) return;
+    reaped = true;
+    cluster.host(runner).procs().reap_stale_incarnation(pid);
+  });
+  const Status st = checkpoint_now(cluster, runner, pid);
+  ASSERT_TRUE(reaped) << "capture never reached kFlushed";
+  EXPECT_EQ(st.err(), Err::kSrch) << st.to_string();
+  EXPECT_EQ(ck.active_ops(), 0u);
+  EXPECT_EQ(ck.stats().capture_failures, 1);
+  EXPECT_EQ(ck.stats().captures, 0);
+  EXPECT_EQ(cluster.host(runner).procs().find(pid), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Replicated file service interplay: a capture racing the file server's death
 // must not strand the process. The head rewrite is the commit point — crash

@@ -1,12 +1,14 @@
 // FS robustness: cache-capacity eviction, delayed writes surviving close,
-// cold reads paying disk latency, server crash visibility, and RPC dedup
-// under load.
+// cold reads paying disk latency, server crash visibility, RPC dedup under
+// load, and zero runs (page flushes) under the integrity contract.
 #include <gtest/gtest.h>
 
 #include "fs/client.h"
 #include "fs/server.h"
 #include "kern/cluster.h"
+#include "sim/fault.h"
 #include "sim/time.h"
+#include "vm/vm.h"
 
 namespace sprite::fs {
 namespace {
@@ -204,6 +206,173 @@ TEST(FsWritebackCoalescingTest, FlushBatchesContiguousDirtyBlocks) {
   cluster.host(1).fs().fsync(s, [&](Status) { done = true; });
   cluster.run_until_done([&] { return done; });
   EXPECT_EQ(cluster.host(1).fs().stats().remote_writes - writes_before, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Zero runs: a page flush writes Extent::zeros, which the server stores and
+// journals without bytes under a closed-form checksum. Every fault that needs
+// the bytes must still be caught exactly as for real bytes.
+// ---------------------------------------------------------------------------
+
+TEST(FsZeroRunTest, ClosedFormSumMatchesMaterializedZeros) {
+  for (std::int64_t n : {1, 4095, 4096, 16384})
+    EXPECT_EQ(FsServer::block_sum(Extent::zeros(n)),
+              FsServer::block_sum(Bytes(static_cast<std::size_t>(n), 0)))
+        << n << " zeros";
+}
+
+// An address space on `ws` whose `pages` heap pages were written, flushed to
+// the file server in one run and dropped from memory: the next touch pages
+// them back in from the swap file.
+vm::SpacePtr flushed_space(Cluster& cluster, sim::HostId ws,
+                           std::int64_t pages) {
+  auto* srv = cluster.file_server().fs_server();
+  SPRITE_CHECK(srv->mkdir_p("/bin").is_ok());
+  SPRITE_CHECK(srv->create_file("/bin/prog", 4 * 4096).is_ok());
+  vm::VmManager& vmm = cluster.host(ws).vm();
+  vm::SpacePtr sp;
+  Status st(Err::kAgain);
+  bool done = false;
+  vmm.create_space("/bin/prog", 4, pages, 1,
+                   [&](util::Result<vm::SpacePtr> r) {
+                     st = r.is_ok() ? Status::ok() : r.status();
+                     if (r.is_ok()) sp = *r;
+                     done = true;
+                   });
+  cluster.run_until_done([&] { return done; });
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  for (bool flush : {false, true}) {
+    done = false;
+    auto cb = [&](Status s) {
+      st = s;
+      done = true;
+    };
+    if (flush)
+      vmm.flush_dirty(sp, cb);
+    else
+      vmm.touch(sp, vm::Segment::kHeap, 0, pages, /*write=*/true, cb);
+    cluster.run_until_done([&] { return done; });
+    EXPECT_TRUE(st.is_ok()) << st.to_string();
+  }
+  vmm.invalidate(sp);
+  return sp;
+}
+
+Status page_in(Cluster& cluster, sim::HostId ws, const vm::SpacePtr& sp,
+               std::int64_t page) {
+  Status out(Err::kAgain);
+  bool done = false;
+  cluster.host(ws).vm().touch(sp, vm::Segment::kHeap, page, 1,
+                              /*write=*/false, [&](Status s) {
+                                out = s;
+                                done = true;
+                              });
+  cluster.run_until_done([&] { return done; });
+  return out;
+}
+
+std::int64_t server_counter(Cluster& cluster, const char* name) {
+  return cluster.sim().trace().counter(name, cluster.file_server().id())
+      .value();
+}
+
+TEST(FsZeroRunTest, CorruptSwapBlockFailsPageInUntilRepairedFromReplica) {
+  for (int replicas : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << replicas << " replica(s)");
+    Cluster cluster({.num_workstations = 1,
+                     .num_file_servers = 1,
+                     .fs_replicas = replicas});
+    const sim::HostId ws = cluster.workstations()[0];
+    // The flushed swap blocks are the only stored blocks, so the plan's
+    // draw always picks one of them.
+    auto sp = flushed_space(cluster, ws, 4);
+    auto* srv = cluster.file_server().fs_server();
+    sim::FaultPlan plan(cluster.sim(), cluster.net());
+    plan.corrupt_block(cluster.file_server().id(),
+                       cluster.sim().now() + Time::msec(1), 0x5eedULL);
+    plan.arm({.corrupt = [srv](sim::HostId, std::uint64_t d) {
+      srv->inject_bit_flip(d);
+    }});
+    cluster.sim().run_until(cluster.sim().now() + Time::msec(2));
+
+    int corrupt_pages = 0;
+    for (std::int64_t p = 0; p < 4; ++p) {
+      const Status st = page_in(cluster, ws, sp, p);
+      if (st.err() == Err::kCorrupt)
+        ++corrupt_pages;
+      else
+        EXPECT_TRUE(st.is_ok()) << st.to_string();
+    }
+    EXPECT_EQ(corrupt_pages, 1) << "the flipped swap block must not read";
+    cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
+    const Status again = [&] {
+      for (std::int64_t p = 0; p < 4; ++p)
+        if (Status st = page_in(cluster, ws, sp, p); !st.is_ok()) return st;
+      return Status::ok();
+    }();
+    if (replicas == 1) {
+      EXPECT_EQ(again.err(), Err::kCorrupt) << "no replica, no repair";
+      EXPECT_EQ(server_counter(cluster, "fs.scrub.repaired"), 0);
+    } else {
+      EXPECT_TRUE(again.is_ok()) << again.to_string();
+      EXPECT_EQ(server_counter(cluster, "fs.scrub.repaired"), 1);
+    }
+  }
+}
+
+TEST(FsZeroRunTest, TornPageFlushReplaysIntactRecordAndDiscardsTornOne) {
+  // The flush is one 16 KB write: four blocks. Draw 2 keeps two of them and
+  // leaves the journal record intact; draw 1 keeps one and tears the record.
+  for (std::uint64_t draw : {2u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "draw " << draw);
+    Cluster cluster({.num_workstations = 1, .num_file_servers = 1});
+    const sim::HostId ws = cluster.workstations()[0];
+    const sim::HostId server = cluster.file_server().id();
+    auto sp = flushed_space(cluster, ws, 4);
+    auto* srv = cluster.file_server().fs_server();
+    sim::FaultPlan plan(cluster.sim(), cluster.net());
+    plan.torn_crash(server, cluster.sim().now() + Time::msec(1), Time::sec(1),
+                    draw);
+    plan.arm({.crash = [&](sim::HostId h) { cluster.crash_host(h); },
+              .reboot = [&](sim::HostId h) { cluster.reboot_host(h); },
+              .torn = [srv](sim::HostId, std::uint64_t d) {
+                srv->tear_last_write(d);
+              }});
+    cluster.sim().run_until(cluster.sim().now() + Time::sec(5));
+
+    const bool intact = (draw & 1u) == 0;
+    EXPECT_EQ(server_counter(cluster, "fs.journal.replayed"), intact ? 1 : 0);
+    EXPECT_EQ(server_counter(cluster, "fs.journal.discarded"), intact ? 0 : 1);
+    const auto keep = static_cast<std::int64_t>(draw % 4);
+    for (std::int64_t p = 0; p < 4; ++p) {
+      const Status st = page_in(cluster, ws, sp, p);
+      if (intact || p < keep)
+        EXPECT_TRUE(st.is_ok()) << "page " << p << ": " << st.to_string();
+      else
+        EXPECT_EQ(st.err(), Err::kCorrupt) << "page " << p << " read garbage";
+    }
+
+    // Whole or kCorrupt through the plain read path too: a replayed run
+    // reads back at full length, a discarded one never reads as zeros.
+    OpenFlags nf = OpenFlags::read_only();
+    nf.no_cache = true;
+    auto s = open_blocking(
+        cluster, ws, sp->segment(vm::Segment::kHeap).backing_path, nf);
+    ASSERT_TRUE(s);
+    util::Result<Bytes> r(Err::kAgain);
+    bool done = false;
+    cluster.host(ws).fs().read(s, 4 * 4096, [&](util::Result<Bytes> got) {
+      r = std::move(got);
+      done = true;
+    });
+    cluster.run_until_done([&] { return done; });
+    if (intact) {
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      EXPECT_EQ(*r, Bytes(4 * 4096, 0));
+    } else {
+      EXPECT_EQ(r.err(), Err::kCorrupt);
+    }
+  }
 }
 
 }  // namespace
