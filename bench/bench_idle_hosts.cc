@@ -4,16 +4,16 @@
 // at night and on weekends; long-idle hosts tend to stay idle [ML87].
 #include <cstdio>
 
-#include "apps/workload.h"
 #include "bench_util.h"
 #include <map>
 
 #include "util/stats.h"
+#include "workload/activity.h"
 
-using sprite::apps::UserActivityModel;
 using sprite::core::SpriteCluster;
 using sprite::sim::Time;
 using sprite::util::Table;
+using sprite::wl::UserActivityModel;
 
 int main() {
   bench::header("E7: idle hosts over a simulated week (bench_idle_hosts)",

@@ -12,13 +12,13 @@
 //     reason to move active processes.
 #include <cstdio>
 
-#include "apps/workload.h"
 #include "bench_util.h"
+#include "workload/policy.h"
 
-using sprite::apps::PolicyWorkload;
 using sprite::core::SpriteCluster;
 using sprite::sim::Time;
 using sprite::util::Table;
+using sprite::wl::PolicyWorkload;
 
 namespace {
 

@@ -51,12 +51,14 @@ int main() {
     // Touch everything on the target so copy-on-reference pulls its pages.
     cluster.run_for(Time::sec(5));
 
+    const std::size_t residual =
+        cluster.host(src).mig().xfer().residual_spaces();
     table.add_row({sprite::mig::strategy_name(strategy),
                    sprite::util::Table::num(rec.freeze_time().ms(), 1),
                    sprite::util::Table::num(rec.total_time().ms(), 1),
                    std::to_string(rec.pages_moved),
                    std::to_string(rec.pages_flushed),
-                   std::to_string(cluster.host(src).mig().residual_spaces())});
+                   std::to_string(residual)});
 
     cluster.wait(pid);
   }

@@ -1,7 +1,5 @@
 #include "migration/manager.h"
 
-#include <algorithm>
-
 #include "ckpt/manager.h"
 #include "kern/cluster.h"
 #include "util/assert.h"
@@ -59,41 +57,13 @@ const char* mig_stage_name(MigStage s) {
   return "?";
 }
 
-namespace {
-
-xfer::Strategy to_engine_strategy(VmStrategy s) {
-  switch (s) {
-    case VmStrategy::kSpriteFlush: return xfer::Strategy::kFlush;
-    case VmStrategy::kWholeCopy: return xfer::Strategy::kWholeCopy;
-    case VmStrategy::kPreCopy: return xfer::Strategy::kPreCopyLegacy;
-    case VmStrategy::kCopyOnRef: return xfer::Strategy::kCopyOnRef;
-    case VmStrategy::kIterPreCopy: return xfer::Strategy::kIterPreCopy;
-    case VmStrategy::kPostCopy: return xfer::Strategy::kPostCopy;
-    case VmStrategy::kContentAddr: return xfer::Strategy::kContentAddr;
-  }
-  return xfer::Strategy::kFlush;
-}
-
-}  // namespace
-
 MigrationManager::MigrationManager(kern::Host& host)
     : host_(host), self_(host.id()), xfer_(host) {
-  // Residual-drain hooks: once post-copy push empties the owed set, the
-  // source's residual image is droppable; once the target's remote set
-  // drains, the process no longer dies with the source.
-  xfer_.set_source_drained_hook([this](std::int64_t asid) {
-    residual_.erase(asid);
-    residual_owner_.erase(asid);
-  });
-  xfer_.set_target_drained_hook(
-      [this](proc::Pid pid) { cor_sources_.erase(pid); });
   trace::Registry& tr = host_.cluster().sim().trace();
   c_out_ = &tr.counter("mig.out.completed", self_);
   c_in_ = &tr.counter("mig.in.completed", self_);
   c_failed_ = &tr.counter("mig.out.failed", self_);
   c_evictions_ = &tr.counter("mig.eviction.completed", self_);
-  c_cor_pages_ = &tr.counter("mig.cor_page.served", self_);
-  c_cor_kills_ = &tr.counter("mig.cor.killed_source_crash", self_);
   h_total_ms_ = &tr.histogram("mig.migration.total_ms",
                               trace::default_latency_bounds_ms(), self_);
   h_freeze_ms_ = &tr.histogram("mig.migration.freeze_ms",
@@ -105,7 +75,6 @@ const MigrationManager::Stats& MigrationManager::stats() const {
   stats_view_.in = c_in_->value();
   stats_view_.failed = c_failed_->value();
   stats_view_.evictions = c_evictions_->value();
-  stats_view_.cor_pages_served = c_cor_pages_->value();
   return stats_view_;
 }
 
@@ -293,7 +262,7 @@ void MigrationManager::start_engine_transfer(std::uint64_t token) {
   og.via_engine = true;
 
   xfer::Engine::Params p;
-  p.strategy = to_engine_strategy(strategy_);
+  p.strategy = strategy_;
   p.pid = og.pcb->pid;
   p.space = og.pcb->space;
   p.target = og.target;
@@ -345,13 +314,6 @@ void MigrationManager::start_engine_transfer(std::uint64_t token) {
         body->space = std::move(res.desc);
         body->cor_source_resident = res.cor_source_resident;
         body->postcopy_push = res.postcopy_push;
-        if (res.cor_source_resident) {
-          // The source keeps the image to serve pulls (and, for post-copy,
-          // to feed the push daemon) — the residual dependency.
-          vm::SpacePtr space = og.pcb->space;
-          residual_[space->asid()] = space;
-          residual_owner_[space->asid()] = og.target;
-        }
         start_streams_phase(token, std::move(body));
       });
 }
@@ -492,10 +454,9 @@ void MigrationManager::send_transfer(std::uint64_t token,
               note_success(og);
               if (og.via_engine)
                 xfer_.record_downtime_ms(og.rec.freeze_time().ms());
-              // Post-copy: the target is running; start draining the
-              // residual image with background pushes.
-              if (body->postcopy_push && og.pcb->space)
-                xfer_.begin_push(og.pcb->space->asid());
+              // The target is running: a residual image now serves it
+              // (post-copy starts pushing it).
+              if (og.pcb->space) xfer_.commit(og.pcb->space->asid());
               notify_stage(og.rec.pid, MigStage::kResume);
               // An observer may have crashed this very host; the completion
               // callback belonged to the now-dead kernel.
@@ -559,10 +520,6 @@ void MigrationManager::fail(std::uint64_t token, Status why) {
       tr.instant("mig", "image departed", self_,
                  static_cast<std::int64_t>(pcb->pid),
                  {{"to", std::to_string(og.target)}});
-    if (pcb->space) {
-      residual_.erase(pcb->space->asid());
-      residual_owner_.erase(pcb->space->asid());
-    }
     host_.procs().remove(pcb->pid);
     og.cb(why);
     return;
@@ -583,21 +540,16 @@ void MigrationManager::fail(std::uint64_t token, Status why) {
     cb(why);
   };
 
-  // Restore the address space if the strategy already detached it.
-  if (pcb->space) {
-    residual_.erase(pcb->space->asid());
-    residual_owner_.erase(pcb->space->asid());
-    if (!pcb->space->segment(vm::Segment::kCode).backing &&
-        pcb->space->segment(vm::Segment::kCode).pages > 0) {
-      // Streams were released; re-adopt our own descriptor.
-      vm::SpaceDescriptor desc = host_.vm().describe(pcb->space);
-      host_.vm().adopt_space(desc,
-                             [pcb, finish](util::Result<vm::SpacePtr> r) {
-                               if (r.is_ok()) pcb->space = *r;
-                               finish();
-                             });
-      return;
-    }
+  // Restore the address space if the strategy already detached it (its
+  // streams were released): re-adopt our own descriptor.
+  if (pcb->space && !pcb->space->segment(vm::Segment::kCode).backing &&
+      pcb->space->segment(vm::Segment::kCode).pages > 0) {
+    vm::SpaceDescriptor desc = host_.vm().describe(pcb->space);
+    host_.vm().adopt_space(desc, [pcb, finish](util::Result<vm::SpacePtr> r) {
+      if (r.is_ok()) pcb->space = *r;
+      finish();
+    });
+    return;
   }
   finish();
 }
@@ -649,9 +601,6 @@ void MigrationManager::evict_all_foreign(std::function<void(int)> cb) {
 void MigrationManager::crash_reset() {
   outgoing_.clear();  // no callbacks: their closures died with the kernel
   pending_in_.clear();
-  residual_.clear();
-  residual_owner_.clear();
-  cor_sources_.clear();
   xfer_.crash_reset();
 }
 
@@ -682,10 +631,6 @@ void MigrationManager::note_process_reaped(Pid pid) {
 }
 
 void MigrationManager::peer_crashed(HostId peer) {
-  // Engine sessions serving or fed by the dead host die first, so their
-  // in-flight continuations become no-ops.
-  xfer_.peer_crashed(peer);
-
   // Outgoing migrations targeting the dead host: roll back and thaw now
   // instead of waiting out the RPC retry limit.
   std::vector<std::uint64_t> doomed;
@@ -698,65 +643,16 @@ void MigrationManager::peer_crashed(HostId peer) {
   for (auto it = pending_in_.begin(); it != pending_in_.end();)
     it = it->second == peer ? pending_in_.erase(it) : std::next(it);
 
-  // Residual copy-on-reference images serving the dead host are
-  // unreachable; free them.
-  for (auto it = residual_owner_.begin(); it != residual_owner_.end();) {
-    if (it->second != peer) {
-      ++it;
-      continue;
-    }
-    residual_.erase(it->first);
-    it = residual_owner_.erase(it);
-  }
-
-  // Processes here that pull pages from the dead source can never fault
-  // another page in: kill them (the residual-dependency hazard that made
-  // Sprite prefer flushing over copy-on-reference).
-  std::vector<Pid> stranded;
-  for (const auto& [pid, src] : cor_sources_)
-    if (src == peer) stranded.push_back(pid);
-  for (const Pid pid : stranded) {
-    cor_sources_.erase(pid);
-    if (!host_.procs().find(pid)) continue;
-    c_cor_kills_->inc();
-    if (trace::Registry& tr = host_.cluster().sim().trace(); tr.tracing())
-      tr.instant("mig", "killed: cor source crashed", self_,
-                 static_cast<std::int64_t>(pid));
-    host_.procs().deliver_signal(pid, 9);
-  }
+  // Residual dependencies on the dead host go last: images serving it are
+  // freed, processes pulling from it are killed.
+  xfer_.peer_crashed(peer);
 }
 
 void MigrationManager::collect_peer_interest(
     std::vector<sim::HostId>& out) const {
   for (const auto& [token, og] : outgoing_) out.push_back(og.target);
   for (const auto& [pid, src] : pending_in_) out.push_back(src);
-  for (const auto& [asid, owner] : residual_owner_) out.push_back(owner);
-  for (const auto& [pid, src] : cor_sources_) out.push_back(src);
   xfer_.collect_peer_interest(out);
-}
-
-void MigrationManager::fetch_remote_chunks(HostId source, std::int64_t asid,
-                                           vm::Segment seg,
-                                           std::int64_t first,
-                                           std::int64_t count,
-                                           vm::VmManager::StatusCb cb) {
-  if (count <= 0) return cb(Status::ok());
-  const std::int64_t chunk = std::min<std::int64_t>(count, 16);
-  auto body = std::make_shared<FetchPagesReq>();
-  body->asid = asid;
-  body->seg = seg;
-  body->first = first;
-  body->count = chunk;
-  host_.rpc().call(
-      source, ServiceId::kMigration, static_cast<int>(MigOp::kFetchPages),
-      body,
-      [this, source, asid, seg, first, count, chunk,
-       cb = std::move(cb)](util::Result<Reply> r) mutable {
-        if (!r.is_ok()) return cb(r.status());
-        if (!r->status.is_ok()) return cb(r->status);
-        fetch_remote_chunks(source, asid, seg, first + chunk, count - chunk,
-                            std::move(cb));
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -776,36 +672,10 @@ void MigrationManager::handle_rpc(HostId src, const Request& req,
       respond(Reply{Status::ok(), rep});
       return;
     }
-    case MigOp::kPageData: {
-      // The payload's wire time is the cost; nothing to store.
-      respond(Reply{Status::ok(), nullptr});
-      return;
-    }
     case MigOp::kTransfer: {
       auto body = rpc::body_cast<TransferReq>(req.body);
       SPRITE_CHECK(body != nullptr);
       handle_transfer(src, *body, std::move(respond));
-      return;
-    }
-    case MigOp::kFetchPages: {
-      auto body = rpc::body_cast<FetchPagesReq>(req.body);
-      SPRITE_CHECK(body != nullptr);
-      auto it = residual_.find(body->asid);
-      if (it == residual_.end()) {
-        respond(Reply{Status(Err::kNoEnt, "no residual image"), nullptr});
-        return;
-      }
-      c_cor_pages_->inc(body->count);
-      // A post-copy push daemon serving this image must not re-send pages
-      // the target just pulled.
-      xfer_.note_pull_served(body->asid, body->seg, body->first, body->count);
-      if (trace::Registry& tr = host_.cluster().sim().trace(); tr.tracing())
-        tr.instant("mig", "cor pages served", self_, -1,
-                   {{"count", std::to_string(body->count)},
-                    {"to", std::to_string(src)}});
-      auto rep = std::make_shared<FetchPagesRep>();
-      rep->bytes = body->count * host_.cluster().costs().page_size;
-      respond(Reply{Status::ok(), rep});
       return;
     }
     case MigOp::kAbort: {
@@ -895,7 +765,7 @@ void MigrationManager::handle_transfer(HostId src, const TransferReq& req,
           // before.
           if (ur.is_ok() && ur->status.err() == Err::kStale) {
             if (box && pcb->program) box->program = std::move(pcb->program);
-            cor_sources_.erase(pcb->pid);
+            xfer_.drop_remote(pcb->pid);
             std::vector<fs::StreamPtr> to_close;
             for (auto& [fd, s] : pcb->fds)
               if (--s->local_refs == 0) to_close.push_back(s);
@@ -942,33 +812,8 @@ void MigrationManager::handle_transfer(HostId src, const TransferReq& req,
                   util::Result<vm::SpacePtr> r) mutable {
                 if (!r.is_ok()) return reject(r.status());
                 pcb->space = *r;
-                if (req.cor_source_resident) {
-                  // Faults on previously-resident pages pull from the
-                  // source, at most 16 pages (64 KB) per RPC — larger
-                  // replies would monopolize the wire and outlive the RPC
-                  // retransmission timeout.
-                  const std::int64_t asid = (*r)->asid();
-                  const bool postcopy = req.postcopy_push;
-                  host_.vm().set_remote_pager(
-                      *r, [this, source, asid, postcopy](
-                              vm::Segment seg, std::int64_t first,
-                              std::int64_t count,
-                              vm::VmManager::StatusCb cb) {
-                        fetch_remote_chunks(
-                            source, asid, seg, first, count,
-                            [this, asid, postcopy,
-                             cb = std::move(cb)](Status s) {
-                              cb(s);  // marks the pages resident
-                              // The last residual page can arrive by fault
-                              // rather than push; re-check the drain.
-                              if (postcopy && s.is_ok())
-                                xfer_.note_remote_drain(asid);
-                            });
-                      });
-                  cor_sources_[pcb->pid] = source;
-                  if (postcopy)
-                    xfer_.register_incoming(asid, pcb->pid, source, *r);
-                }
+                if (req.cor_source_resident)
+                  xfer_.adopt_remote(pcb->pid, source, *r, req.postcopy_push);
                 finish_install();
               });
           return;

@@ -32,10 +32,13 @@
 //                  recently (program text, the zero page) move as short
 //                  references instead of full pages.
 //
-// The VM phase of every strategy is executed by the per-host xfer::Engine;
-// this manager runs the protocol around it (handshake, streams, PCB
-// encapsulation, rollback) and keeps the four legacy strategies' observable
-// behaviour unchanged.
+// The per-host xfer::Engine owns every page of a migrating address space:
+// it executes the VM phase of every strategy and holds the residual
+// dependency of copy-on-reference and post-copy on both ends (the source's
+// image, the target's pulls). This manager runs only the protocol around it:
+// handshake, streams, PCB encapsulation and rollback. It commits the
+// engine's residual image when a transfer succeeds and cancels the engine
+// session on every abort path.
 //
 // Exec-time migration (pmake's workhorse) transfers no memory at all: the
 // process image is rebuilt from the executable on the target.
@@ -50,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "migration/strategy.h"
 #include "migration/wire.h"
 #include "proc/table.h"
 #include "rpc/rpc.h"
@@ -61,20 +65,6 @@ class Host;
 }
 
 namespace sprite::mig {
-
-enum class VmStrategy : int {
-  kSpriteFlush = 0,
-  kWholeCopy,
-  kPreCopy,
-  kCopyOnRef,
-  kIterPreCopy,
-  kPostCopy,
-  kContentAddr,
-};
-const char* strategy_name(VmStrategy s);
-// Inverse of strategy_name, for bench/test flags. Returns false on an
-// unknown name.
-bool strategy_from_name(const std::string& name, VmStrategy* out);
 
 // How a migrated process's file kernel calls are handled (thesis §4.3.1):
 //   kTransferStreams — Sprite: streams move with the process and file calls
@@ -132,17 +122,13 @@ class MigrationManager : public proc::MigratorIface {
 
   // The encapsulation-format version this kernel speaks. Kernels refuse to
   // exchange processes across versions.
-  int version() const { return version_; }
   void set_version(int v) { version_ = v; }
-
-  VmStrategy strategy() const { return strategy_; }
   void set_strategy(VmStrategy s) { strategy_ = s; }
-
-  FileCallMode file_call_mode() const { return file_call_mode_; }
   void set_file_call_mode(FileCallMode m) { file_call_mode_ = m; }
 
-  // The per-host live transfer engine executing every strategy's VM phase
-  // (tests hook its observers; benches read its metrics).
+  // The per-host live transfer engine: every strategy's VM phase and the
+  // residual dependency (tests hook its observers and read its residual
+  // tables; benches read its metrics).
   xfer::Engine& xfer() { return xfer_; }
 
   // proc::MigratorIface. Moves a process currently on this host. The
@@ -175,19 +161,18 @@ class MigrationManager : public proc::MigratorIface {
   std::size_t active_migrations() const {
     return outgoing_.size() + pending_in_.size();
   }
-  // This host crashed: every migration in flight, residual
-  // copy-on-reference image, and half-accepted incoming transfer is
-  // dropped. No callbacks fire — their closures belonged to the dead
-  // kernel.
+  // This host crashed: every migration in flight, residual image, and
+  // half-accepted incoming transfer is dropped. No callbacks fire — their
+  // closures belonged to the dead kernel.
   void crash_reset();
   // A peer crashed: outgoing migrations targeting it roll back and thaw
   // immediately (instead of waiting out the RPC retry limit), incoming
-  // slots it initiated are dropped, residual images serving it are freed,
-  // and local processes that depend on it for copy-on-reference pages are
-  // killed (the residual-dependency cost the thesis warns about).
+  // slots it initiated are dropped, then the engine frees residual images
+  // serving it and kills local processes that depend on it for
+  // copy-on-reference pages.
   void peer_crashed(sim::HostId peer);
   // Peers whose death this host must detect (host-monitor interest):
-  // migration counterparts, copy-on-reference sources, residual owners.
+  // migration counterparts plus the engine's residual peers.
   void collect_peer_interest(std::vector<sim::HostId>& out) const;
 
   // ---- Statistics (registry-backed; the struct is a refreshed view) ----
@@ -196,13 +181,10 @@ class MigrationManager : public proc::MigratorIface {
     std::int64_t in = 0;            // successful migrations in
     std::int64_t failed = 0;
     std::int64_t evictions = 0;
-    std::int64_t cor_pages_served = 0;  // residual-dependency traffic
   };
   const Stats& stats() const;
   const std::vector<MigrationRecord>& records() const { return records_; }
   const MigrationRecord& last_record() const;
-  // Residual dependencies currently held for copy-on-reference sources.
-  std::size_t residual_spaces() const { return residual_.size(); }
 
  private:
   struct Outgoing {
@@ -249,10 +231,6 @@ class MigrationManager : public proc::MigratorIface {
   void send_transfer(std::uint64_t token,
                      std::shared_ptr<TransferReq> body);
   void fail(std::uint64_t token, util::Status why);
-  // Copy-on-reference pulls, bounded to 16 pages per RPC.
-  void fetch_remote_chunks(sim::HostId source, std::int64_t asid,
-                           vm::Segment seg, std::int64_t first,
-                           std::int64_t count, vm::VmManager::StatusCb cb);
 
   kern::Host& host_;
   sim::HostId self_;
@@ -266,15 +244,6 @@ class MigrationManager : public proc::MigratorIface {
 
   // Target side: pids with an accepted kInit pending a kTransfer.
   std::map<proc::Pid, sim::HostId> pending_in_;
-
-  // Copy-on-reference source images, by asid, and which host each one
-  // serves (so a target crash can free the now-unreachable image).
-  std::map<std::int64_t, vm::SpacePtr> residual_;
-  std::map<std::int64_t, sim::HostId> residual_owner_;
-
-  // Local processes whose pages pull from a remote source (target side of
-  // kCopyOnRef): pid -> source host. A source crash kills them.
-  std::map<proc::Pid, sim::HostId> cor_sources_;
 
   // Fires the stage observers; tolerates observers that crash hosts (and
   // thereby clear outgoing_) reentrantly.
@@ -290,8 +259,6 @@ class MigrationManager : public proc::MigratorIface {
   trace::Counter* c_in_;
   trace::Counter* c_failed_;
   trace::Counter* c_evictions_;
-  trace::Counter* c_cor_pages_;
-  trace::Counter* c_cor_kills_;
   trace::LatencyHistogram* h_total_ms_;
   trace::LatencyHistogram* h_freeze_ms_;
   mutable Stats stats_view_;

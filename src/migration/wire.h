@@ -14,11 +14,11 @@
 
 namespace sprite::mig {
 
+// Page traffic (rounds, pushes, copy-on-reference pulls) belongs to the
+// kXfer service (xfer/wire.h).
 enum class MigOp : int {
   kInit = 1,       // version handshake; target allocates a pending slot
-  kPageData,       // whole-copy / pre-copy page payload
   kTransfer,       // encapsulated process state; target resumes the process
-  kFetchPages,     // copy-on-reference pull from the source
   kAbort,          // source gave up; target drops the pending slot
 };
 
@@ -32,14 +32,6 @@ struct InitRep : rpc::Message {
   int version = 0;
   bool accepted = false;
   std::int64_t wire_bytes() const override { return 16; }
-};
-
-// Bulk page payload; only the byte count matters (see DESIGN.md on page
-// contents).
-struct PageDataReq : rpc::Message {
-  proc::Pid pid = proc::kInvalidPid;
-  std::int64_t bytes = 0;
-  std::int64_t wire_bytes() const override { return 16 + bytes; }
 };
 
 // The Program object cannot be copied through a "wire", so it rides in a
@@ -79,12 +71,11 @@ struct TransferReq : rpc::Message {
   // builds a fresh image from exe_path).
   bool has_space = false;
   vm::SpaceDescriptor space;
-  // Copy-on-reference: the source retains the memory image and serves
-  // kFetchPages for it.
+  // Copy-on-reference: the source retains the memory image and its
+  // transfer engine serves pulls for it (xfer::XferOp::kPull).
   bool cor_source_resident = false;
-  // Post-copy (src/xfer/): the source additionally pushes the residual
-  // pages in the background, so the dependency drains without faults. The
-  // target registers the space with its transfer engine.
+  // Post-copy: the source additionally pushes the residual pages in the
+  // background, so the dependency drains without faults.
   bool postcopy_push = false;
 
   std::shared_ptr<ProgramBox> box;  // null for exec-time migration
@@ -98,19 +89,6 @@ struct TransferReq : rpc::Message {
     for (const auto& a : args) n += static_cast<std::int64_t>(a.size());
     return n;
   }
-};
-
-struct FetchPagesReq : rpc::Message {
-  std::int64_t asid = 0;
-  vm::Segment seg = vm::Segment::kHeap;
-  std::int64_t first = 0;
-  std::int64_t count = 0;
-  std::int64_t wire_bytes() const override { return 40; }
-};
-
-struct FetchPagesRep : rpc::Message {
-  std::int64_t bytes = 0;  // count * page_size of payload
-  std::int64_t wire_bytes() const override { return 16 + bytes; }
 };
 
 struct AbortReq : rpc::Message {

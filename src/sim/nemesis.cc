@@ -9,6 +9,7 @@
 #include "fs/client.h"
 #include "fs/server.h"
 #include "rpc/rpc.h"
+#include "util/assert.h"
 
 namespace sprite::sim {
 
@@ -241,15 +242,18 @@ NemesisReport NemesisHarness::run() {
 
   // The checker needs its directory before round 0; retry until the create
   // lands (the schedule window starts at 5% of the horizon, so normally the
-  // very first attempt succeeds).
+  // very first attempt succeeds). The retry closure holds only a weak ref to
+  // itself (a strong self-capture is a shared_ptr cycle and leaks); each
+  // pending call holds a strong one.
   auto mkdir_then_start = std::make_shared<std::function<void()>>();
-  *mkdir_then_start = [this, mkdir_then_start] {
+  *mkdir_then_start = [this, wself = std::weak_ptr<std::function<void()>>(
+                                 mkdir_then_start)] {
+    auto self = wself.lock();
+    SPRITE_CHECK(self != nullptr);
     cluster_->host(checker_host_).fs().mkdir(
-        "/nemesis", [this, mkdir_then_start](util::Status st) {
+        "/nemesis", [this, self](util::Status st) {
           if (!st.is_ok() && st.err() != util::Err::kExist) {
-            cluster_->sim().after(Time::sec(5), [mkdir_then_start] {
-              (*mkdir_then_start)();
-            });
+            cluster_->sim().after(Time::sec(5), [self] { (*self)(); });
             return;
           }
           checker_round(0);

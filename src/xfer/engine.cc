@@ -3,11 +3,13 @@
 #include <algorithm>
 
 #include "kern/cluster.h"
+#include "proc/table.h"
 #include "util/assert.h"
 #include "util/log.h"
 
 namespace sprite::xfer {
 
+using mig::VmStrategy;
 using proc::Pid;
 using rpc::Reply;
 using rpc::Request;
@@ -25,19 +27,6 @@ std::int64_t space_remote_pages(const vm::SpacePtr& space) {
 }
 }  // namespace
 
-const char* xfer_strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::kFlush: return "flush";
-    case Strategy::kWholeCopy: return "whole-copy";
-    case Strategy::kPreCopyLegacy: return "pre-copy";
-    case Strategy::kCopyOnRef: return "copy-on-reference";
-    case Strategy::kIterPreCopy: return "iter-pre-copy";
-    case Strategy::kPostCopy: return "post-copy";
-    case Strategy::kContentAddr: return "content-addressed";
-  }
-  return "?";
-}
-
 Engine::Engine(kern::Host& host)
     : host_(host),
       self_(host.id()),
@@ -53,6 +42,8 @@ Engine::Engine(kern::Host& host)
   c_push_redundant_ = &tr.counter("xfer.push.redundant", self_);
   c_bytes_sent_ = &tr.counter("xfer.bytes.sent", self_);
   c_drained_ = &tr.counter("xfer.postcopy.drained", self_);
+  c_cor_pages_ = &tr.counter("mig.cor_page.served", self_);
+  c_cor_kills_ = &tr.counter("mig.cor.killed_source_crash", self_);
   h_downtime_ms_ = &tr.histogram("xfer.migration.downtime_ms",
                                  trace::default_latency_bounds_ms(), self_);
   h_round_pages_ = &tr.histogram("xfer.round.pages",
@@ -71,8 +62,8 @@ void Engine::register_services() {
 
 void Engine::record_downtime_ms(double ms) { h_downtime_ms_->record(ms); }
 
-PrecopyTuning Engine::tuning_for(Strategy s) const {
-  if (s == Strategy::kPreCopyLegacy)
+PrecopyTuning Engine::tuning_for(VmStrategy s) const {
+  if (s == VmStrategy::kPreCopy)
     return PrecopyTuning{4, 32, Time::zero()};  // the paper's fixed tuning
   const sim::Costs& c = host_.cluster().costs();
   return PrecopyTuning{c.xfer_max_rounds, c.xfer_stop_pages,
@@ -103,12 +94,12 @@ void Engine::transfer(Params p, DoneFn done) {
   SPRITE_CHECK(inserted);
 
   host_.cluster().sim().trace().flight_note(
-      "xfer.start", xfer_strategy_name(it->second.p.strategy), self_,
+      "xfer.start", mig::strategy_name(it->second.p.strategy), self_,
       static_cast<std::int64_t>(pid), it->second.p.target);
 
   switch (it->second.p.strategy) {
-    case Strategy::kPreCopyLegacy:
-    case Strategy::kIterPreCopy:
+    case VmStrategy::kPreCopy:
+    case VmStrategy::kIterPreCopy:
       // Rounds run while the process keeps executing; the freeze comes at
       // convergence.
       precopy_round(pid);
@@ -121,12 +112,11 @@ void Engine::transfer(Params p, DoneFn done) {
 
 void Engine::cancel(Pid pid) {
   out_.erase(pid);
-  // A push session that never started belongs to a migration that failed
-  // before its transfer completed; drop it with the session.
-  for (auto it = push_.begin(); it != push_.end();) {
-    it = (it->second.pid == pid && !it->second.started) ? push_.erase(it)
-                                                        : std::next(it);
-  }
+  // An uncommitted residual image belongs to a migration that failed before
+  // its transfer completed; no target ever ran on it.
+  std::erase_if(residual_, [pid](const auto& e) {
+    return e.second.pid == pid && !e.second.committed;
+  });
 }
 
 void Engine::finish_error(Pid pid, Status why) {
@@ -285,7 +275,7 @@ void Engine::run_frozen(Pid pid) {
   vm::SpacePtr space = s.p.space;
 
   switch (s.p.strategy) {
-    case Strategy::kFlush: {
+    case VmStrategy::kSpriteFlush: {
       s.res.pages_flushed = space->dirty_pages();
       host_.vm().flush_dirty(space, [this, pid, space](Status st) {
         if (!st.is_ok()) return finish_error(pid, st);
@@ -297,7 +287,7 @@ void Engine::run_frozen(Pid pid) {
       });
       return;
     }
-    case Strategy::kWholeCopy: {
+    case VmStrategy::kWholeCopy: {
       const std::int64_t pages = space->resident_pages();
       s.res.pages_moved = pages;
       s.res.round_pages.push_back(pages);
@@ -310,17 +300,16 @@ void Engine::run_frozen(Pid pid) {
       });
       return;
     }
-    case Strategy::kContentAddr: {
+    case VmStrategy::kContentAddr: {
       content_transfer(pid);
       return;
     }
-    case Strategy::kCopyOnRef:
-    case Strategy::kPostCopy: {
+    case VmStrategy::kCopyOnRef:
+    case VmStrategy::kPostCopy: {
       // Ship only page tables; previously-resident pages become remote on
       // the target, and the source keeps the image to serve pulls (the
-      // residual dependency). Post-copy additionally arms a push session
-      // over the frozen resident set; the manager starts it once the
-      // transfer RPC succeeds.
+      // residual dependency). Post-copy additionally owes the target the
+      // frozen resident set, pushed once the transfer commits.
       vm::SpaceDescriptor desc = host_.vm().describe(space);
       for (auto& seg : desc.segments) {
         seg.in_remote = seg.resident;
@@ -329,26 +318,26 @@ void Engine::run_frozen(Pid pid) {
       }
       s.res.desc = std::move(desc);
       s.res.cor_source_resident = true;
-      if (s.p.strategy == Strategy::kPostCopy) {
+      Residual r;
+      r.pid = pid;
+      r.target = s.p.target;
+      r.space = space;
+      r.ctx = s.p.ctx;
+      if (s.p.strategy == VmStrategy::kPostCopy) {
         s.res.postcopy_push = true;
-        Push push;
-        push.pid = pid;
-        push.target = s.p.target;
-        push.space = space;
-        push.ctx = s.p.ctx;
-        push.left = 0;
+        r.push = true;
         for (auto seg : vm::kAllSegments) {
           const auto& st = space->segment(seg);
-          push.owed[static_cast<std::size_t>(seg)] = st.resident;
-          push.left += st.resident_pages();
+          r.owed[static_cast<std::size_t>(seg)] = st.resident;
+          r.left += st.resident_pages();
         }
-        push_[space->asid()] = std::move(push);
       }
+      residual_[space->asid()] = std::move(r);
       finish_ok(pid);
       return;
     }
-    case Strategy::kPreCopyLegacy:
-    case Strategy::kIterPreCopy:
+    case VmStrategy::kPreCopy:
+    case VmStrategy::kIterPreCopy:
       break;  // handled by precopy_round
   }
   SPRITE_UNREACHABLE("unknown transfer strategy");
@@ -434,28 +423,27 @@ void Engine::content_map_round(
 }
 
 // ---------------------------------------------------------------------------
-// Post-copy push daemon (source side)
+// Residual dependency, source side: commit, post-copy push, served pulls
 // ---------------------------------------------------------------------------
 
-void Engine::begin_push(std::int64_t asid) {
-  auto it = push_.find(asid);
-  if (it == push_.end()) return;
-  Push& push = it->second;
-  SPRITE_CHECK(!push.started);
-  push.started = true;
-  push.started_at = host_.cluster().sim().now();
+void Engine::commit(std::int64_t asid) {
+  auto it = residual_.find(asid);
+  if (it == residual_.end() || it->second.committed) return;
+  Residual& r = it->second;
+  r.committed = true;
+  if (!r.push) return;
+  r.committed_at = host_.cluster().sim().now();
   host_.cluster().sim().trace().flight_note(
-      "xfer.push", "begin", self_, static_cast<std::int64_t>(push.pid),
-      push.left);
-  if (push.left == 0) return finish_push_drained(asid);
+      "xfer.push", "begin", self_, static_cast<std::int64_t>(r.pid), r.left);
+  if (r.left == 0) return finish_push_drained(asid);
   host_.cluster().sim().after(host_.cluster().costs().xfer_push_interval,
                               [this, asid] { push_tick(asid); });
 }
 
 void Engine::push_tick(std::int64_t asid) {
-  auto it = push_.find(asid);
-  if (it == push_.end()) return;
-  Push& push = it->second;
+  auto it = residual_.find(asid);
+  if (it == residual_.end() || !it->second.push) return;
+  Residual& push = it->second;
   if (push.left == 0) return finish_push_drained(asid);
 
   // Next owed run, bounded to one segment and the push batch size.
@@ -480,6 +468,7 @@ void Engine::push_tick(std::int64_t asid) {
   if (first < 0) return finish_push_drained(asid);
 
   auto body = std::make_shared<PushReq>();
+  body->pid = push.pid;
   body->asid = asid;
   body->seg = run_seg;
   body->first = first;
@@ -490,8 +479,8 @@ void Engine::push_tick(std::int64_t asid) {
   host_.rpc().call(
       push.target, ServiceId::kXfer, static_cast<int>(XferOp::kPush), body,
       [this, asid, run_seg, first, count](util::Result<Reply> r) {
-        auto it = push_.find(asid);
-        if (it == push_.end()) return;
+        auto it = residual_.find(asid);
+        if (it == residual_.end() || !it->second.push) return;
         if (!r.is_ok() || !r->status.is_ok()) {
           // Target unreachable or mid-reboot: retry next interval; a down
           // verdict tears the session down via peer_crashed.
@@ -500,7 +489,7 @@ void Engine::push_tick(std::int64_t asid) {
               [this, asid] { push_tick(asid); });
           return;
         }
-        Push& push = it->second;
+        Residual& push = it->second;
         auto& owed = push.owed[static_cast<std::size_t>(run_seg)];
         std::int64_t sent = 0;
         for (std::int64_t p = first; p < first + count; ++p) {
@@ -514,8 +503,8 @@ void Engine::push_tick(std::int64_t asid) {
         if (rep != nullptr && rep->applied < sent)
           c_push_redundant_->inc(sent - rep->applied);
         notify(asid, Event::kPushSent);
-        it = push_.find(asid);  // an observer may have crashed hosts
-        if (it == push_.end()) return;
+        it = residual_.find(asid);  // an observer may have crashed hosts
+        if (it == residual_.end() || !it->second.push) return;
         if (it->second.left == 0) return finish_push_drained(asid);
         host_.cluster().sim().after(
             host_.cluster().costs().xfer_push_interval,
@@ -523,66 +512,90 @@ void Engine::push_tick(std::int64_t asid) {
       });
 }
 
-void Engine::note_pull_served(std::int64_t asid, vm::Segment seg,
-                              std::int64_t first, std::int64_t count) {
-  auto it = push_.find(asid);
-  if (it == push_.end()) return;
-  Push& push = it->second;
-  auto& owed = push.owed[static_cast<std::size_t>(seg)];
-  for (std::int64_t p = first;
-       p < first + count && p < static_cast<std::int64_t>(owed.size()); ++p) {
-    if (!owed[static_cast<std::size_t>(p)]) continue;
-    owed[static_cast<std::size_t>(p)] = false;
-    --push.left;
-  }
-  if (push.started && push.left == 0) finish_push_drained(asid);
-}
-
 void Engine::finish_push_drained(std::int64_t asid) {
-  auto it = push_.find(asid);
-  if (it == push_.end()) return;
+  auto it = residual_.find(asid);
+  if (it == residual_.end()) return;
   const Pid pid = it->second.pid;
   h_drain_ms_->record(
-      (host_.cluster().sim().now() - it->second.started_at).ms());
-  push_.erase(it);
+      (host_.cluster().sim().now() - it->second.committed_at).ms());
+  residual_.erase(it);
   c_drained_->inc();
   host_.cluster().sim().trace().flight_note(
       "xfer.push", "drained", self_, static_cast<std::int64_t>(pid), asid);
-  if (source_drained_) source_drained_(asid);
   notify(asid, Event::kSourceDrained);
 }
 
 // ---------------------------------------------------------------------------
-// Post-copy target side
+// Residual dependency, target side: pulls on fault, post-copy drain
 // ---------------------------------------------------------------------------
 
-void Engine::register_incoming(std::int64_t asid, Pid pid, HostId source,
-                               const vm::SpacePtr& space) {
-  Incoming in;
-  in.pid = pid;
-  in.source = source;
-  in.space = space;
-  in_[asid] = std::move(in);
+void Engine::adopt_remote(Pid pid, HostId source, const vm::SpacePtr& space,
+                          bool push) {
+  // Faults on previously-resident pages pull from the source, at most 16
+  // pages (64 KB) per RPC — larger replies would monopolize the wire and
+  // outlive the RPC retransmission timeout.
+  const std::int64_t asid = space->asid();
+  host_.vm().set_remote_pager(
+      space, [this, pid, source, asid, push](vm::Segment seg,
+                                             std::int64_t first,
+                                             std::int64_t count,
+                                             vm::VmManager::StatusCb cb) {
+        pull(source, asid, seg, first, count,
+             [this, pid, asid, push, cb = std::move(cb)](Status s) {
+               cb(s);  // marks the pages resident
+               // The last residual page can arrive by fault rather than
+               // push; re-check the drain.
+               if (push && s.is_ok()) check_target_drained(pid, asid);
+             });
+      });
+  remote_[pid] = Remote{source, space, push};
 }
 
-void Engine::note_remote_drain(std::int64_t asid) {
-  auto it = in_.find(asid);
-  if (it == in_.end()) return;
-  if (space_remote_pages(it->second.space) == 0) finish_target_drained(asid);
+void Engine::drop_remote(Pid pid) {
+  auto it = remote_.find(pid);
+  if (it == remote_.end()) return;
+  host_.vm().clear_remote_pager(it->second.space->asid());
+  remote_.erase(it);
 }
 
-void Engine::finish_target_drained(std::int64_t asid) {
-  auto it = in_.find(asid);
-  if (it == in_.end()) return;
-  const Pid pid = it->second.pid;
-  in_.erase(it);
+void Engine::pull(HostId source, std::int64_t asid, vm::Segment seg,
+                  std::int64_t first, std::int64_t count,
+                  vm::VmManager::StatusCb cb) {
+  if (count <= 0) return cb(Status::ok());
+  const std::int64_t chunk = std::min<std::int64_t>(count, 16);
+  auto body = std::make_shared<PullReq>();
+  body->asid = asid;
+  body->seg = seg;
+  body->first = first;
+  body->count = chunk;
+  host_.rpc().call(
+      source, ServiceId::kXfer, static_cast<int>(XferOp::kPull), body,
+      [this, source, asid, seg, first, count, chunk,
+       cb = std::move(cb)](util::Result<Reply> r) mutable {
+        if (!r.is_ok()) return cb(r.status());
+        if (!r->status.is_ok()) return cb(r->status);
+        pull(source, asid, seg, first + chunk, count - chunk, std::move(cb));
+      });
+}
+
+Engine::Remote* Engine::find_pushed(Pid pid, std::int64_t asid) {
+  auto it = remote_.find(pid);
+  if (it == remote_.end() || !it->second.push ||
+      it->second.space->asid() != asid)
+    return nullptr;
+  return &it->second;
+}
+
+void Engine::check_target_drained(Pid pid, std::int64_t asid) {
+  Remote* r = find_pushed(pid, asid);
+  if (r == nullptr || space_remote_pages(r->space) > 0) return;
+  remote_.erase(pid);
   host_.vm().clear_remote_pager(asid);
   host_.cluster().sim().trace().flight_note(
       "xfer.push", "target_drained", self_, static_cast<std::int64_t>(pid),
       asid);
   // The residual dependency is gone: a later source crash must no longer
   // kill this process.
-  if (target_drained_) target_drained_(pid);
   notify(asid, Event::kTargetDrained);
 }
 
@@ -592,29 +605,47 @@ void Engine::finish_target_drained(std::int64_t asid) {
 
 void Engine::crash_reset() {
   out_.clear();   // no callbacks: their closures died with the kernel
-  push_.clear();
-  in_.clear();
+  residual_.clear();
+  remote_.clear();
   cache_.clear();  // kernel soft state
 }
 
 void Engine::peer_crashed(HostId peer) {
-  // Outgoing sessions to the dead target: the manager's fail path cancels
-  // them too, but drop them here first so in-flight continuations no-op.
-  for (auto it = out_.begin(); it != out_.end();)
-    it = it->second.p.target == peer ? out_.erase(it) : std::next(it);
-  // Push sessions serving the dead target are unreachable (the manager
-  // frees the matching residual image).
-  for (auto it = push_.begin(); it != push_.end();)
-    it = it->second.target == peer ? push_.erase(it) : std::next(it);
-  // Incoming postcopy spaces fed by the dead source: the manager kills the
-  // dependent processes (cor_sources_); drop the apply sessions.
-  for (auto it = in_.begin(); it != in_.end();)
-    it = it->second.source == peer ? in_.erase(it) : std::next(it);
+  // Residual images serving the dead target are unreachable; free them.
+  std::erase_if(residual_,
+                [peer](const auto& e) { return e.second.target == peer; });
+  // Processes here that pull pages from the dead source can never fault
+  // another page in: kill them (the residual-dependency hazard that made
+  // Sprite prefer flushing over copy-on-reference).
+  std::vector<Pid> stranded;
+  for (const auto& [pid, r] : remote_)
+    if (r.source == peer) stranded.push_back(pid);
+  for (const Pid pid : stranded) {
+    remote_.erase(pid);
+    if (!host_.procs().find(pid)) continue;
+    c_cor_kills_->inc();
+    if (trace::Registry& tr = host_.cluster().sim().trace(); tr.tracing())
+      tr.instant("mig", "killed: cor source crashed", self_,
+                 static_cast<std::int64_t>(pid));
+    host_.procs().deliver_signal(pid, 9);
+  }
 }
 
 void Engine::collect_peer_interest(std::vector<HostId>& out) const {
-  for (const auto& [asid, push] : push_) out.push_back(push.target);
-  for (const auto& [asid, in] : in_) out.push_back(in.source);
+  for (const auto& [asid, r] : residual_) out.push_back(r.target);
+  for (const auto& [pid, r] : remote_) out.push_back(r.source);
+}
+
+std::size_t Engine::active_pushes() const {
+  return static_cast<std::size_t>(std::count_if(
+      residual_.begin(), residual_.end(),
+      [](const auto& e) { return e.second.push; }));
+}
+
+std::size_t Engine::active_incoming() const {
+  return static_cast<std::size_t>(
+      std::count_if(remote_.begin(), remote_.end(),
+                    [](const auto& e) { return e.second.push; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -645,14 +676,14 @@ void Engine::handle_rpc(HostId src, const Request& req,
     case XferOp::kPush: {
       auto body = rpc::body_cast<PushReq>(req.body);
       SPRITE_CHECK(body != nullptr);
-      auto it = in_.find(body->asid);
       auto rep = std::make_shared<PushRep>();
-      if (it == in_.end()) {
+      Remote* r = find_pushed(body->pid, body->asid);
+      if (r == nullptr) {
         // Already drained (or never registered): benign race, nothing owed.
         respond(Reply{Status::ok(), rep});
         return;
       }
-      vm::SegmentState& st = it->second.space->segment(body->seg);
+      vm::SegmentState& st = r->space->segment(body->seg);
       for (std::int64_t p = body->first;
            p < body->first + body->count && p < st.pages; ++p) {
         const auto i = static_cast<std::size_t>(p);
@@ -661,8 +692,38 @@ void Engine::handle_rpc(HostId src, const Request& req,
         st.resident[i] = true;
         ++rep->applied;
       }
-      if (space_remote_pages(it->second.space) == 0)
-        finish_target_drained(body->asid);
+      check_target_drained(body->pid, body->asid);
+      respond(Reply{Status::ok(), rep});
+      return;
+    }
+    case XferOp::kPull: {
+      auto body = rpc::body_cast<PullReq>(req.body);
+      SPRITE_CHECK(body != nullptr);
+      auto it = residual_.find(body->asid);
+      if (it == residual_.end()) {
+        respond(Reply{Status(Err::kNoEnt, "no residual image"), nullptr});
+        return;
+      }
+      c_cor_pages_->inc(body->count);
+      if (Residual& r = it->second; r.push) {
+        // The push daemon must not re-send pages the target just pulled.
+        auto& owed = r.owed[static_cast<std::size_t>(body->seg)];
+        for (std::int64_t p = body->first;
+             p < body->first + body->count &&
+             p < static_cast<std::int64_t>(owed.size());
+             ++p) {
+          if (!owed[static_cast<std::size_t>(p)]) continue;
+          owed[static_cast<std::size_t>(p)] = false;
+          --r.left;
+        }
+        if (r.committed && r.left == 0) finish_push_drained(body->asid);
+      }
+      if (trace::Registry& tr = host_.cluster().sim().trace(); tr.tracing())
+        tr.instant("mig", "cor pages served", self_, -1,
+                   {{"count", std::to_string(body->count)},
+                    {"to", std::to_string(src)}});
+      auto rep = std::make_shared<PullRep>();
+      rep->bytes = body->count * host_.cluster().costs().page_size;
       respond(Reply{Status::ok(), rep});
       return;
     }

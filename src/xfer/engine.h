@@ -19,12 +19,21 @@
 //                  and send a short reference instead of a full page when
 //                  the target can source the bytes locally.
 //
+// The engine owns every page of a migrating address space, from the freeze
+// until the last residual page is pushed, pulled, or orphaned by a crash.
+// Copy-on-reference and post-copy leave a residual dependency: the source
+// keeps the frozen image (one residual entry by asid) and the target's
+// faults pull from it over kXfer (one remote entry by pid). The VM phase
+// creates the residual entry; commit() keeps it once the transfer
+// succeeded, and until then cancel(), which every abort path calls, drops
+// it. A drained post-copy push frees both ends; a crash of either peer
+// frees its counterpart's entries, killing local processes that can no
+// longer pull their pages.
+//
 // Failure semantics: the manager cancels the engine session on every
 // migration-abort path; every async continuation in here revalidates its
 // session (and the caller-supplied alive() hook) first, so a crash observer
-// firing mid-round unwinds cleanly. Push sessions die with peer_crashed /
-// crash_reset; an undrained target-side residual keeps the existing
-// cor_sources_ kill semantics in the manager.
+// firing mid-round unwinds cleanly.
 #pragma once
 
 #include <array>
@@ -34,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "migration/strategy.h"
 #include "proc/pcb.h"
 #include "rpc/rpc.h"
 #include "util/status.h"
@@ -46,17 +56,6 @@ class Host;
 }
 
 namespace sprite::xfer {
-
-enum class Strategy : int {
-  kFlush = 0,      // Sprite: flush dirty pages, target demand-pages
-  kWholeCopy,      // Charlotte/LOCUS: whole resident image while frozen
-  kPreCopyLegacy,  // V System: fixed-tuning rounds (adapter over iterative)
-  kCopyOnRef,      // Accent: tables only, pull on reference
-  kIterPreCopy,    // multi-round pre-copy with convergence control
-  kPostCopy,       // copy-on-reference + background push
-  kContentAddr,    // content-id dedup against the target's cache
-};
-const char* xfer_strategy_name(Strategy s);
 
 // Convergence control for the pre-copy family. Rounds stop (freeze + final
 // set) when pages <= stop_pages, pages no longer shrink, round hits
@@ -86,7 +85,7 @@ class Engine {
   using DoneFn = std::function<void(util::Result<Result>)>;
 
   struct Params {
-    Strategy strategy = Strategy::kFlush;
+    mig::VmStrategy strategy = mig::VmStrategy::kSpriteFlush;
     proc::Pid pid = proc::kInvalidPid;
     vm::SpacePtr space;
     sim::HostId target = sim::kInvalidHost;
@@ -113,37 +112,23 @@ class Engine {
   // sequence the manager used to produce inline.
   void transfer(Params p, DoneFn done);
 
-  // Drops the outgoing session (and any not-yet-started push session) for
-  // `pid`. Safe when none exists. In-flight continuations become no-ops.
+  // Drops the outgoing session for `pid` and its uncommitted residual image,
+  // if any. Safe when none exists. In-flight continuations become no-ops.
   void cancel(proc::Pid pid);
 
-  // ---- Post-copy: source side ----
-  // The transfer RPC succeeded; start the background push daemon for the
-  // residual image (created at freeze time by the kPostCopy path).
-  void begin_push(std::int64_t asid);
-  // The manager served a copy-on-reference pull for these pages; the push
-  // daemon must not send them again.
-  void note_pull_served(std::int64_t asid, vm::Segment seg,
-                        std::int64_t first, std::int64_t count);
-
-  // ---- Post-copy: target side ----
-  // An incoming postcopy_push transfer installed `space`; pushes from
-  // `source` apply to it until the remote set drains.
-  void register_incoming(std::int64_t asid, proc::Pid pid,
-                         sim::HostId source, const vm::SpacePtr& space);
-  // A pull completed on the target; re-check whether the remote set drained
-  // (the last residual page may arrive by fault rather than push).
-  void note_remote_drain(std::int64_t asid);
-
-  // Residual-drain hooks (set by the manager): source side frees
-  // residual_/residual_owner_; target side erases the cor_sources_ entry so
-  // a later source crash no longer kills the process.
-  void set_source_drained_hook(std::function<void(std::int64_t asid)> fn) {
-    source_drained_ = std::move(fn);
-  }
-  void set_target_drained_hook(std::function<void(proc::Pid pid)> fn) {
-    target_drained_ = std::move(fn);
-  }
+  // ---- Residual dependency ----
+  // Source side: the transfer RPC succeeded, so the residual image of
+  // `asid` (created by the VM phase) now serves the running target and
+  // survives cancel(). Post-copy starts its push daemon here.
+  void commit(std::int64_t asid);
+  // Target side: an incoming copy-on-reference transfer installed `space`
+  // for `pid`. Its remote pages pull from `source`; with `push`, the source
+  // also pushes them and the dependency ends once none are left.
+  void adopt_remote(proc::Pid pid, sim::HostId source,
+                    const vm::SpacePtr& space, bool push);
+  // The incoming transfer was refused after adopt_remote: forget the
+  // dependency and the VM's remote pager.
+  void drop_remote(proc::Pid pid);
 
   // ---- Observation (fault-injection hooks) ----
   // kPushSent fires on the source after each background push lands —
@@ -155,6 +140,9 @@ class Engine {
 
   // ---- Crash support ----
   void crash_reset();
+  // Frees residual images serving `peer` and kills local processes that
+  // pull pages from it (the residual-dependency cost the thesis warns
+  // about), in pid order.
   void peer_crashed(sim::HostId peer);
   void collect_peer_interest(std::vector<sim::HostId>& out) const;
 
@@ -162,9 +150,11 @@ class Engine {
   // freeze/resume timestamps).
   void record_downtime_ms(double ms);
 
-  std::size_t active_pushes() const { return push_.size(); }
-  std::size_t active_incoming() const { return in_.size(); }
-  ContentCache& content_cache() { return cache_; }
+  // Source images held for copy-on-reference and post-copy targets.
+  std::size_t residual_spaces() const { return residual_.size(); }
+  // Post-copy pushes owed (source) and awaited (target).
+  std::size_t active_pushes() const;
+  std::size_t active_incoming() const;
 
  private:
   struct Session {
@@ -175,23 +165,26 @@ class Engine {
     int round = 0;
     std::int64_t prev_dirty = 0;
   };
-  // Source-side background push of one residual image.
-  struct Push {
+  // Source side of a residual dependency: the frozen image a target pulls
+  // from (copy-on-reference) and, for post-copy, pushes drain.
+  struct Residual {
     proc::Pid pid = proc::kInvalidPid;
     sim::HostId target = sim::kInvalidHost;
     vm::SpacePtr space;
     trace::Context ctx;
-    // Pages still owed to the target, per segment (resident set at freeze).
+    bool committed = false;
+    // Post-copy only: pages still owed to the target, per segment (the
+    // resident set at freeze).
+    bool push = false;
     std::array<std::vector<bool>, 3> owed;
     std::int64_t left = 0;
-    bool started = false;
-    sim::Time started_at;
+    sim::Time committed_at;
   };
-  // Target side of a postcopy_push space.
-  struct Incoming {
-    proc::Pid pid = proc::kInvalidPid;
+  // Target side: a local process whose remote pages live on `source`.
+  struct Remote {
     sim::HostId source = sim::kInvalidHost;
     vm::SpacePtr space;
+    bool push = false;  // post-copy: ends when no remote page is left
   };
 
   // Strategy bodies. All take the session's pid and revalidate.
@@ -214,26 +207,32 @@ class Engine {
 
   void push_tick(std::int64_t asid);
   void finish_push_drained(std::int64_t asid);
-  void finish_target_drained(std::int64_t asid);
+  // Copy-on-reference faults, bounded to 16 pages per kPull RPC.
+  void pull(sim::HostId source, std::int64_t asid, vm::Segment seg,
+            std::int64_t first, std::int64_t count,
+            vm::VmManager::StatusCb cb);
+  // The post-copy remote entry of `pid` for `asid`, or null.
+  Remote* find_pushed(proc::Pid pid, std::int64_t asid);
+  // A pull or push landed on the target: end a post-copy dependency whose
+  // space has no remote page left.
+  void check_target_drained(proc::Pid pid, std::int64_t asid);
   void notify(std::int64_t asid, Event e);
 
   void handle_rpc(sim::HostId src, const rpc::Request& req,
                   std::function<void(rpc::Reply)> respond);
 
-  PrecopyTuning tuning_for(Strategy s) const;
+  PrecopyTuning tuning_for(mig::VmStrategy s) const;
 
   kern::Host& host_;
   sim::HostId self_;
 
   std::map<proc::Pid, Session> out_;
-  std::map<std::int64_t, Push> push_;   // by asid
-  std::map<std::int64_t, Incoming> in_;  // by asid
+  std::map<std::int64_t, Residual> residual_;  // by asid
+  std::map<proc::Pid, Remote> remote_;
   ContentCache cache_;
   std::vector<Observer> observers_;
-  std::function<void(std::int64_t)> source_drained_;
-  std::function<void(proc::Pid)> target_drained_;
 
-  // xfer.* metrics (trace/trace.h).
+  // xfer.* and residual-dependency (mig.cor*) metrics (trace/trace.h).
   trace::Counter* c_rounds_;
   trace::Counter* c_pages_sent_;
   trace::Counter* c_pages_resent_;
@@ -243,6 +242,8 @@ class Engine {
   trace::Counter* c_push_redundant_;
   trace::Counter* c_bytes_sent_;
   trace::Counter* c_drained_;
+  trace::Counter* c_cor_pages_;
+  trace::Counter* c_cor_kills_;
   trace::LatencyHistogram* h_downtime_ms_;
   trace::LatencyHistogram* h_round_pages_;
   trace::LatencyHistogram* h_drain_ms_;

@@ -1,6 +1,7 @@
-// Fault-injection tests: the crash matrix (who dies × when), determinism of
-// fault schedules, no-fault invariance, at-most-once behaviour under host
-// flapping, stale-generation recovery, and load-sharing (migd) crash-restart.
+// Fault-injection tests: the crash matrix (who dies × when × the source's VM
+// strategy), determinism of fault schedules, no-fault invariance,
+// at-most-once behaviour under host flapping, stale-generation recovery, and
+// load-sharing (migd) crash-restart.
 //
 // The crash matrix is the heart: a process migrates between two
 // workstations while a scripted victim — migration source, target, the
@@ -9,7 +10,8 @@
 // later. Whatever happens to the process (finishes, dies with the crash
 // exit status, or is silently reaped when its home vanished), the cluster
 // must converge: no half-open migrations, no residual images, no frozen or
-// leaked PCBs, and the home record resolved.
+// leaked PCBs, and the home record resolved. The source migrates with
+// Sprite's flush or with post-copy, whose residual image must end too.
 //
 // Seed sweep: the matrix and determinism suites re-run under every seed in
 // SPRITE_FAULT_SEEDS (count, default 2); CI's fault-sweep job raises it.
@@ -83,12 +85,15 @@ const char* victim_name(Victim v) {
   return "?";
 }
 
-using MatrixParam = std::tuple<Victim, MigStage, std::uint64_t>;
+// The source's VM strategy is the fourth axis: sprite-flush leaves no
+// residual dependency, post-copy leaves one until its push drains.
+using MatrixParam =
+    std::tuple<Victim, MigStage, std::uint64_t, mig::VmStrategy>;
 
 class CrashMatrixTest : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(CrashMatrixTest, ClusterConvergesAfterCrashAndReboot) {
-  const auto [victim, stage, seed] = GetParam();
+  const auto [victim, stage, seed, strategy] = GetParam();
   Cluster cluster({.num_workstations = 4, .num_file_servers = 2, .seed = seed});
   ls::Facility facility(cluster, ls::Arch::kCentral);
 
@@ -155,6 +160,7 @@ TEST_P(CrashMatrixTest, ClusterConvergesAfterCrashAndReboot) {
     cluster.run_until_done([&] { return done; });
     ASSERT_TRUE(st.is_ok()) << st.to_string();
   }
+  cluster.host(source).mig().set_strategy(strategy);
 
   bool exited = false;
   int exit_status = -1;
@@ -192,7 +198,7 @@ TEST_P(CrashMatrixTest, ClusterConvergesAfterCrashAndReboot) {
     EXPECT_FALSE(cluster.host_crashed(h)) << "host " << h << " still down";
     EXPECT_EQ(cluster.host(h).mig().active_migrations(), 0u)
         << "half-open migration on host " << h;
-    EXPECT_EQ(cluster.host(h).mig().residual_spaces(), 0u)
+    EXPECT_EQ(cluster.host(h).mig().xfer().residual_spaces(), 0u)
         << "leaked residual image on host " << h;
     EXPECT_EQ(cluster.host(h).procs().find(pid), nullptr)
         << "leaked PCB on host " << h;
@@ -228,7 +234,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          MigStage::kVmTransfer,
                                          MigStage::kStreams,
                                          MigStage::kResume),
-                       ::testing::ValuesIn(sweep_seeds())),
+                       ::testing::ValuesIn(sweep_seeds()),
+                       ::testing::Values(mig::VmStrategy::kSpriteFlush,
+                                         mig::VmStrategy::kPostCopy)),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       const char* stage = "";
       switch (std::get<1>(info.param)) {
@@ -240,7 +248,10 @@ INSTANTIATE_TEST_SUITE_P(
         case MigStage::kXferRound: stage = "XferRound"; break;
       }
       return std::string(victim_name(std::get<0>(info.param))) + "At" +
-             stage + "Seed" + std::to_string(std::get<2>(info.param));
+             stage + "Seed" + std::to_string(std::get<2>(info.param)) +
+             (std::get<3>(info.param) == mig::VmStrategy::kPostCopy
+                  ? "PostCopy"
+                  : "");
     });
 
 // ---------------------------------------------------------------------------

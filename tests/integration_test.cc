@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/pmake.h"
-#include "apps/workload.h"
 #include "core/sprite.h"
 #include "migration/manager.h"
 

@@ -494,7 +494,7 @@ TEST_F(StrategyTest, CopyOnReferenceResumesFastWithResidualDependency) {
   // Freeze time is tiny: only tables moved.
   EXPECT_LT(rec.freeze_time().ms(), 120.0);
   // The source keeps the image: residual dependency.
-  EXPECT_EQ(cluster_.host(ws(0)).mig().residual_spaces(), 1u);
+  EXPECT_EQ(cluster_.host(ws(0)).mig().xfer().residual_spaces(), 1u);
 
   // Touching memory on the target pulls pages from the source.
   auto pcb = cluster_.host(ws(1)).procs().find(pid);
@@ -507,7 +507,8 @@ TEST_F(StrategyTest, CopyOnReferenceResumesFastWithResidualDependency) {
                                   });
   cluster_.run_until_done([&] { return touched; });
   EXPECT_EQ(cluster_.host(ws(1)).vm().stats().pages_from_remote, 256);
-  EXPECT_EQ(cluster_.host(ws(0)).mig().stats().cor_pages_served, 256);
+  EXPECT_EQ(cluster_.sim().trace().counter_value("mig.cor_page.served", ws(0)),
+            256);
 }
 
 TEST_F(StrategyTest, PreCopyShrinksFreezeTimeVersusWholeCopy) {

@@ -181,7 +181,7 @@ TEST_P(PartitionMatrixTest, ClusterConvergesAcrossPartition) {
   for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h) {
     EXPECT_EQ(cluster.host(h).mig().active_migrations(), 0u)
         << "half-open migration on host " << h;
-    EXPECT_EQ(cluster.host(h).mig().residual_spaces(), 0u)
+    EXPECT_EQ(cluster.host(h).mig().xfer().residual_spaces(), 0u)
         << "leaked residual image on host " << h;
     for (const auto& p : cluster.host(h).procs().local_processes())
       EXPECT_NE(p->state, proc::ProcState::kFrozen)

@@ -1,7 +1,8 @@
 // Tests for the live-transfer engine (src/xfer/): iterative pre-copy
 // convergence, content-addressed dedup + determinism, the post-copy push
-// drain, and the crash matrix entries the stage observers cannot reach
-// (mid-round and mid-push crashes).
+// drain, the crash matrix entries the stage observers cannot reach
+// (mid-round and mid-push crashes), and the residual dependency's cleanup
+// when a racing restart makes the target refuse the transfer.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -204,14 +205,14 @@ TEST_F(XferTest, PostCopyPushDrainsResidualsWithoutTargetFaults) {
   EXPECT_EQ(rec.pages_moved, 0);
   EXPECT_LT(rec.freeze_time().ms(), 120.0);
   // Resume leaves a residual image behind...
-  EXPECT_EQ(cluster_.host(ws(0)).mig().residual_spaces(), 1u);
+  EXPECT_EQ(cluster_.host(ws(0)).mig().xfer().residual_spaces(), 1u);
 
   // ...which the background push drains with the process fast asleep.
   cluster_.sim().run_until(cluster_.sim().now() + Time::sec(10));
   EXPECT_GE(sum_counter(cluster_, "xfer.postcopy.drained"), 1);
   EXPECT_EQ(cluster_.host(ws(0)).mig().xfer().active_pushes(), 0u);
   EXPECT_EQ(cluster_.host(ws(1)).mig().xfer().active_incoming(), 0u);
-  EXPECT_EQ(cluster_.host(ws(0)).mig().residual_spaces(), 0u);
+  EXPECT_EQ(cluster_.host(ws(0)).mig().xfer().residual_spaces(), 0u);
   auto pcb = cluster_.host(ws(1)).procs().find(pid);
   ASSERT_TRUE(pcb != nullptr && pcb->space != nullptr);
   for (const auto seg : vm::kAllSegments)
@@ -255,7 +256,7 @@ void expect_converged(Cluster& cluster, Pid pid) {
     EXPECT_FALSE(cluster.host_crashed(h)) << "host " << h << " still down";
     EXPECT_EQ(cluster.host(h).mig().active_migrations(), 0u)
         << "half-open migration on host " << h;
-    EXPECT_EQ(cluster.host(h).mig().residual_spaces(), 0u)
+    EXPECT_EQ(cluster.host(h).mig().xfer().residual_spaces(), 0u)
         << "leaked residual image on host " << h;
     EXPECT_EQ(cluster.host(h).mig().xfer().active_pushes(), 0u)
         << "leaked push session on host " << h;
@@ -392,6 +393,51 @@ TEST(XferCrashTest, SourceCrashDuringPostCopyPushKillsDependents) {
   expect_converged(cluster, pid);
   EXPECT_FALSE(cluster.host(wss[1]).procs().home_record_alive(pid));
 }
+
+// ---- Incarnation race: a refused transfer leaves no residual ----
+
+// A checkpoint restart can claim the pid at the home while a migration is in
+// flight: the target refuses the transfer kStale and the source reaps its
+// frozen copy. Neither end may keep the residual dependency the VM phase
+// created for it.
+class XferRaceTest : public ::testing::TestWithParam<VmStrategy> {};
+
+TEST_P(XferRaceTest, StaleRefusalLeavesNoResidual) {
+  Cluster cluster({.num_workstations = 4, .num_file_servers = 1, .seed = 3});
+  const auto wss = cluster.workstations();
+  const Pid pid = spawn_worker(cluster, wss[0], "race");
+  cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
+  auto migrate = [&](HostId from, HostId to) {
+    auto pcb = cluster.host(from).procs().find(pid);
+    SPRITE_CHECK(pcb != nullptr);
+    Status st(Err::kAgain);
+    bool done = false;
+    cluster.host(from).mig().migrate(pcb, to, [&](Status s) {
+      st = s;
+      done = true;
+    });
+    cluster.run_until_done([&] { return done; });
+    return st;
+  };
+  ASSERT_TRUE(migrate(wss[0], wss[1]).is_ok());
+
+  cluster.host(wss[1]).mig().set_strategy(GetParam());
+  cluster.host(wss[1]).mig().add_stage_observer([&](Pid p, MigStage s) {
+    if (p != pid || s != MigStage::kVmTransfer) return;
+    ASSERT_TRUE(cluster.host(wss[0]).procs().bump_incarnation(pid).is_ok());
+  });
+  EXPECT_EQ(migrate(wss[1], wss[2]).err(), Err::kStale);
+  cluster.sim().run_until(cluster.sim().now() + Time::sec(5));
+  expect_converged(cluster, pid);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, XferRaceTest,
+    ::testing::Values(VmStrategy::kCopyOnRef, VmStrategy::kPostCopy),
+    [](const ::testing::TestParamInfo<VmStrategy>& info) {
+      return std::string(info.param == VmStrategy::kCopyOnRef ? "CopyOnRef"
+                                                               : "PostCopy");
+    });
 
 }  // namespace
 }  // namespace sprite::mig
