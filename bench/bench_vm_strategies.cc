@@ -121,8 +121,8 @@ Sample migrate_once(const CellOpts& o) {
         .touch(pcb->space, sprite::vm::Segment::kHeap, 0, pages, false,
                [&](sprite::util::Status) { done = true; });
     cluster.kernel().run_until_done([&] { return done; });
-    s.remote_faults =
-        cluster.host(cluster.workstation(1)).vm().stats().pages_from_remote;
+    s.remote_faults = cluster.sim().trace().counter_value(
+        "vm.page.remote_pulled", cluster.workstation(1));
   }
   return s;
 }

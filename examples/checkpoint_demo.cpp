@@ -67,15 +67,15 @@ int main(int argc, char** argv) {
               cluster.host(borrowed).name().c_str());
 
   cluster.run_for(Time::sec(50));
-  {
-    const auto& s = ck.stats();
-    std::printf("after 50 s: %lld captures (%lld full + %lld incremental), "
-                "%lld pages written\n",
-                static_cast<long long>(s.captures),
-                static_cast<long long>(s.full_bases),
-                static_cast<long long>(s.incrementals),
-                static_cast<long long>(s.pages_captured));
-  }
+  auto count = [&](const char* name, sprite::sim::HostId h) {
+    return static_cast<long long>(tr.counter_value(name, h));
+  };
+  std::printf("after 50 s: %lld captures (%lld full + %lld incremental), "
+              "%lld pages written\n",
+              count("ckpt.capture.completed", borrowed),
+              count("ckpt.capture.full_base", borrowed),
+              count("ckpt.capture.incremental", borrowed),
+              count("ckpt.page.captured", borrowed));
 
   std::printf("\n*** %s loses power ***\n",
               cluster.host(borrowed).name().c_str());
@@ -86,15 +86,13 @@ int main(int argc, char** argv) {
   cluster.run_for(Time::sec(30));
   const auto now_on = cluster.locate(pid);
   std::printf("restarted on %s\n", cluster.host(now_on).name().c_str());
-  std::int64_t restarts = 0, restored = 0;
+  long long restarts = 0, restored = 0;
   for (int i = 0; i < cluster.num_workstations(); ++i) {
-    const auto& s = cluster.host(cluster.workstation(i)).ckpt().stats();
-    restarts += s.restarts;
-    restored += s.pages_restored;
+    restarts += count("ckpt.restart.completed", cluster.workstation(i));
+    restored += count("ckpt.page.restored", cluster.workstation(i));
   }
-  std::printf("restarts: %lld, pages restored from image: %lld\n",
-              static_cast<long long>(restarts),
-              static_cast<long long>(restored));
+  std::printf("restarts: %lld, pages restored from image: %lld\n", restarts,
+              restored);
 
   cluster.kernel().reboot_host(borrowed);
   const int status = cluster.wait(pid);

@@ -108,23 +108,6 @@ proc::ProcTable& CkptManager::procs() const { return host_.procs(); }
 vm::VmManager& CkptManager::vm() const { return host_.vm(); }
 fs::FsClient& CkptManager::fs() const { return host_.fs(); }
 
-const CkptManager::Stats& CkptManager::stats() const {
-  stats_view_.captures = c_captures_->value();
-  stats_view_.capture_failures = c_capture_failed_->value();
-  stats_view_.full_bases = c_full_->value();
-  stats_view_.incrementals = c_incr_->value();
-  stats_view_.declined = c_declined_->value();
-  stats_view_.pages_captured = c_pages_captured_->value();
-  stats_view_.restarts = c_restarts_->value();
-  stats_view_.restarts_failed = c_restart_failed_->value();
-  stats_view_.pages_restored = c_pages_restored_->value();
-  stats_view_.compactions = c_compactions_->value();
-  stats_view_.auto_triggers = c_auto_->value();
-  stats_view_.departs = c_departs_->value();
-  stats_view_.stale_reaped = c_stale_reaped_->value();
-  return stats_view_;
-}
-
 std::int64_t CkptManager::chain_length(proc::Pid pid) const {
   auto it = chains_.find(pid);
   return it == chains_.end()

@@ -257,11 +257,10 @@ void MigdAnnouncer::announce_now() {
 CentralSelector::CentralSelector(
     kern::Host& host, std::string pdev_path,
     std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host),
+    : HostSelector(host.cluster().sim().trace(), host.id()),
+      host_(host),
       path_(std::move(pdev_path)),
-      ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
-}
+      ground_truth_(std::move(ground_truth_idle)) {}
 
 void CentralSelector::ensure_open(std::function<void(Status)> then) {
   if (stream_) return then(Status::ok());

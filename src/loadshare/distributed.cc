@@ -20,9 +20,10 @@ using util::Status;
 ProbabilisticSelector::ProbabilisticSelector(
     kern::Host& host, LoadShareNode& node,
     std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host), node_(node), ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
-}
+    : HostSelector(host.cluster().sim().trace(), host.id()),
+      host_(host),
+      node_(node),
+      ground_truth_(std::move(ground_truth_idle)) {}
 
 void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
   note_request();
@@ -91,8 +92,10 @@ void ProbabilisticSelector::release_host(HostId h) {
 MulticastSelector::MulticastSelector(
     kern::Host& host, LoadShareNode& node,
     std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host), node_(node), ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
+    : HostSelector(host.cluster().sim().trace(), host.id()),
+      host_(host),
+      node_(node),
+      ground_truth_(std::move(ground_truth_idle)) {
   node_.set_offer_sink([this](const OfferReq& offer) {
     if (offer.seq != current_seq_) return;  // stale query
     offers_.push_back(offer.host);

@@ -3,7 +3,9 @@
 // Four implementations reproduce the design space of thesis chapter 6:
 // central server (migd), shared file, distributed probabilistic (MOSIX) and
 // multicast query. All expose the same request/release API so experiment E6
-// can compare them under identical request loads.
+// can compare them under identical request loads. Each counts its requests,
+// grants, empty grants and stale ("bad") grants into its host's `ls.select.*`
+// registry metrics (trace/trace.h), where E6 and the tests read them.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +15,6 @@
 #include "sim/ids.h"
 #include "sim/time.h"
 #include "trace/trace.h"
-#include "util/stats.h"
 
 namespace sprite::ls {
 
@@ -42,35 +43,11 @@ class HostSelector {
   // request reopens from scratch. Default: nothing cached.
   virtual void reset() {}
 
-  // Registry-backed (trace/trace.h); the struct is a refreshed view. The
-  // grant-latency distribution is kept locally (quantiles) and mirrored into
-  // a registry histogram when bound.
-  struct Stats {
-    std::int64_t requests = 0;
-    std::int64_t hosts_granted = 0;
-    std::int64_t empty_grants = 0;
-    // A granted host that was in fact not idle (stale information) — the
-    // failure mode distributed state suffers from.
-    std::int64_t bad_grants = 0;
-    util::Distribution grant_latency_ms;
-  };
-  const Stats& stats() const {
-    if (c_requests_) {
-      stats_view_.requests = c_requests_->value();
-      stats_view_.hosts_granted = c_granted_->value();
-      stats_view_.empty_grants = c_empty_->value();
-      stats_view_.bad_grants = c_bad_->value();
-    }
-    return stats_view_;
-  }
-
  protected:
-  // Registers the selector's metrics under `ls.select.*`, attributed to the
-  // requesting host. Subclasses call this from their constructor; an unbound
-  // selector still counts into the plain struct.
-  void bind_metrics(trace::Registry& tr, sim::HostId host) {
-    reg_ = &tr;
-    host_id_ = host;
+  // Registers the selector's `ls.select.*` metrics, attributed to the
+  // requesting host.
+  HostSelector(trace::Registry& tr, sim::HostId host)
+      : reg_(tr), host_id_(host) {
     c_requests_ = &tr.counter("ls.select.requested", host);
     c_granted_ = &tr.counter("ls.select.host_granted", host);
     c_empty_ = &tr.counter("ls.select.empty_grant", host);
@@ -79,39 +56,28 @@ class HostSelector {
                                trace::default_latency_bounds_ms(), host);
   }
 
-  void note_request() {
-    if (c_requests_) c_requests_->inc();
-    else ++stats_view_.requests;
-  }
+  void note_request() { c_requests_->inc(); }
   // One grant decision finished: `n` hosts after `ms` of selection latency.
   void note_grant_done(std::int64_t n, double ms) {
-    stats_view_.grant_latency_ms.add(ms);
-    if (c_granted_) {
-      c_granted_->inc(n);
-      if (n == 0) c_empty_->inc();
-      h_latency_->record(ms);
-      if (reg_->tracing())
-        reg_->instant("ls", n == 0 ? "grant empty" : "hosts granted",
-                      host_id_, -1, {{"count", std::to_string(n)}});
-    } else {
-      stats_view_.hosts_granted += n;
-      if (n == 0) ++stats_view_.empty_grants;
-    }
+    c_granted_->inc(n);
+    if (n == 0) c_empty_->inc();
+    h_latency_->record(ms);
+    if (reg_.tracing())
+      reg_.instant("ls", n == 0 ? "grant empty" : "hosts granted", host_id_,
+                   -1, {{"count", std::to_string(n)}});
   }
-  void note_bad_grant() {
-    if (c_bad_) c_bad_->inc();
-    else ++stats_view_.bad_grants;
-  }
+  // A granted host that was in fact not idle (stale information) — the
+  // failure mode distributed state suffers from.
+  void note_bad_grant() { c_bad_->inc(); }
 
  private:
-  trace::Registry* reg_ = nullptr;
-  sim::HostId host_id_ = sim::kInvalidHost;
-  trace::Counter* c_requests_ = nullptr;
-  trace::Counter* c_granted_ = nullptr;
-  trace::Counter* c_empty_ = nullptr;
-  trace::Counter* c_bad_ = nullptr;
-  trace::LatencyHistogram* h_latency_ = nullptr;
-  mutable Stats stats_view_;
+  trace::Registry& reg_;
+  sim::HostId host_id_;
+  trace::Counter* c_requests_;
+  trace::Counter* c_granted_;
+  trace::Counter* c_empty_;
+  trace::Counter* c_bad_;
+  trace::LatencyHistogram* h_latency_;
 };
 
 }  // namespace sprite::ls

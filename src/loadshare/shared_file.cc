@@ -75,13 +75,12 @@ void LoadFileUpdater::update_now() {
 SharedFileSelector::SharedFileSelector(
     kern::Host& host, std::string load_path, std::string claim_path,
     int num_hosts, std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host),
+    : HostSelector(host.cluster().sim().trace(), host.id()),
+      host_(host),
       load_path_(std::move(load_path)),
       claim_path_(std::move(claim_path)),
       num_hosts_(num_hosts),
-      ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
-}
+      ground_truth_(std::move(ground_truth_idle)) {}
 
 void SharedFileSelector::ensure_open(std::function<void(Status)> then) {
   if (load_stream_ && claim_stream_) return then(Status::ok());

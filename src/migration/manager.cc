@@ -70,14 +70,6 @@ MigrationManager::MigrationManager(kern::Host& host)
                                trace::default_latency_bounds_ms(), self_);
 }
 
-const MigrationManager::Stats& MigrationManager::stats() const {
-  stats_view_.out = c_out_->value();
-  stats_view_.in = c_in_->value();
-  stats_view_.failed = c_failed_->value();
-  stats_view_.evictions = c_evictions_->value();
-  return stats_view_;
-}
-
 void MigrationManager::note_success(const Outgoing& og) {
   const MigrationRecord& rec = og.rec;
   h_total_ms_->record(rec.total_time().ms());

@@ -175,14 +175,6 @@ class MigrationManager : public proc::MigratorIface {
   // migration counterparts plus the engine's residual peers.
   void collect_peer_interest(std::vector<sim::HostId>& out) const;
 
-  // ---- Statistics (registry-backed; the struct is a refreshed view) ----
-  struct Stats {
-    std::int64_t out = 0;           // successful migrations away
-    std::int64_t in = 0;            // successful migrations in
-    std::int64_t failed = 0;
-    std::int64_t evictions = 0;
-  };
-  const Stats& stats() const;
   const std::vector<MigrationRecord>& records() const { return records_; }
   const MigrationRecord& last_record() const;
 
@@ -254,14 +246,13 @@ class MigrationManager : public proc::MigratorIface {
   // histograms once a migration completes.
   void note_success(const Outgoing& og);
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_out_;
   trace::Counter* c_in_;
   trace::Counter* c_failed_;
   trace::Counter* c_evictions_;
   trace::LatencyHistogram* h_total_ms_;
   trace::LatencyHistogram* h_freeze_ms_;
-  mutable Stats stats_view_;
   std::vector<MigrationRecord> records_;
 };
 

@@ -19,11 +19,21 @@ double now_ns() {
 
 }  // namespace
 
+EngineProfiler::EngineProfiler(trace::Registry& registry)
+    : registry_(registry),
+      c_event_fired_(&registry.counter("sim.engine.event.fired")) {}
+
 void EngineProfiler::record(const char* label, double ns) {
-  LabelStats& s = stats_[label];
-  if (s.fired == 0) s.label = label;
+  Entry& e = labels_[label];
+  if (e.counter == nullptr) {
+    e.stats.label = label;
+    e.counter = &registry_.counter(std::string("sim.engine.fired.") + label);
+  }
+  LabelStats& s = e.stats;
   ++s.fired;
   ++events_;
+  e.counter->inc();
+  c_event_fired_->inc();
   if (ns >= 0.0) {
     s.total_ns += ns;
     total_ns_ += ns;
@@ -60,7 +70,8 @@ std::vector<EngineProfiler::LabelStats> EngineProfiler::top(
   // Merge by label text first: duplicate string literals in different
   // translation units may not share an address.
   std::map<std::string, LabelStats> merged;
-  for (const auto& [ptr, s] : stats_) {
+  for (const auto& [ptr, e] : labels_) {
+    const LabelStats& s = e.stats;
     LabelStats& m = merged[s.label];
     m.label = s.label;
     m.fired += s.fired;
@@ -131,7 +142,7 @@ std::string EngineProfiler::report(std::size_t n) const {
 }
 
 void EngineProfiler::reset() {
-  stats_.clear();
+  labels_.clear();
   events_ = 0;
   total_ns_ = 0.0;
   run_ns_ = 0.0;

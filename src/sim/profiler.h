@@ -4,11 +4,12 @@
 // "cpu_slice", "rpc_timeout", ...; unlabeled sites fall into "other"). The
 // profiler attributes the event loop's work to those labels at two levels:
 //
-//   * Counting (always on): per-label fired totals, kept in a pointer-keyed
-//     table (labels are string literals) — one small hash lookup per event,
-//     noise next to the queue pop and closure dispatch it measures. The
-//     totals are deterministic per seed and surface as `sim.engine.fired.*`
-//     registry counters, so the bench gate pins the event mix exactly.
+//   * Counting (always on): one pointer-keyed table entry per label (labels
+//     are string literals) holds the label's stats and its
+//     `sim.engine.fired.<label>` registry counter, so an event costs one
+//     small hash lookup — noise next to the queue pop and closure dispatch
+//     it measures. The counters (plus `sim.engine.event.fired`) are
+//     deterministic per seed, so the bench gate pins the event mix exactly.
 //
 //   * Timing (opt-in, enable_timing): steady_clock around each handler,
 //     accumulated per label with a fixed log-scale cost histogram for
@@ -28,6 +29,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "trace/trace.h"
+
 namespace sprite::sim {
 
 class EngineProfiler {
@@ -43,6 +46,9 @@ class EngineProfiler {
     double total_ns = 0.0;
     std::array<std::int64_t, kCostBoundsNs.size() + 1> cost_buckets{};
   };
+
+  // Fired counts are mirrored into `registry`, which must outlive this.
+  explicit EngineProfiler(trace::Registry& registry);
 
   // One event fired. `ns` < 0 means timing was off (count only).
   void record(const char* label, double ns);
@@ -67,9 +73,17 @@ class EngineProfiler {
   // Human-readable top-N table for reports and flight dumps.
   std::string report(std::size_t n = 10) const;
 
+  // Clears the profiler's own tallies; the registry counters keep counting.
   void reset();
 
  private:
+  struct Entry {
+    LabelStats stats;
+    trace::Counter* counter = nullptr;  // sim.engine.fired.<label>
+  };
+
+  trace::Registry& registry_;
+  trace::Counter* c_event_fired_;
   bool timing_ = false;
   std::int64_t events_ = 0;
   double total_ns_ = 0.0;
@@ -78,8 +92,9 @@ class EngineProfiler {
   bool running_ = false;
   // Keyed by label pointer: schedule sites pass string literals, so equal
   // labels share an address per site; the few duplicate-literal addresses a
-  // linker might not fold are merged by name in top().
-  std::unordered_map<const void*, LabelStats> stats_;
+  // linker might not fold are merged by name in top(), and share one
+  // counter because the registry keys counters by name.
+  std::unordered_map<const void*, Entry> labels_;
 };
 
 }  // namespace sprite::sim

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <chrono>
-#include <string>
 
 #include "util/assert.h"
 #include "util/log.h"
@@ -10,9 +9,9 @@ namespace sprite::sim {
 
 Simulator::Simulator(std::uint64_t seed)
     : rng_(seed),
-      trace_(std::make_unique<trace::Registry>([this] { return now_.us(); })) {
+      trace_(std::make_unique<trace::Registry>([this] { return now_.us(); })),
+      profiler_(*trace_) {
   util::set_log_time_source([this] { return now_.us(); });
-  c_event_fired_ = &trace_->counter("sim.engine.event.fired");
   g_queue_peak_ = &trace_->gauge("sim.engine.queue.peak");
   // A starved or CHECK-failed run dumps the flight recorder; append what the
   // engine itself was doing (top-N hottest event types).
@@ -61,14 +60,6 @@ void Simulator::every(Time period, const char* label, std::function<void()> fn,
   });
 }
 
-void Simulator::count_fired(const char* label) {
-  c_event_fired_->inc();
-  trace::Counter*& c = fired_counters_[label];
-  if (c == nullptr)
-    c = &trace_->counter(std::string("sim.engine.fired.") + label);
-  c->inc();
-}
-
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto fired = queue_.pop();
@@ -87,7 +78,6 @@ bool Simulator::step() {
     fired.fn();
     profiler_.record(fired.label, -1.0);
   }
-  count_fired(fired.label);
   return true;
 }
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "sim/event_queue.h"
 #include "sim/profiler.h"
@@ -81,29 +80,22 @@ class Simulator {
   trace::Registry& trace() { return *trace_; }
   const trace::Registry& trace() const { return *trace_; }
 
-  // Engine self-profiler. Per-label fired counts are always collected (and
-  // mirrored as deterministic `sim.engine.fired.<label>` counters); call
+  // Engine self-profiler. Per-label fired counts are always collected (as
+  // deterministic `sim.engine.fired.<label>` registry counters); call
   // profiler().set_timing(true) before a run to also attribute wall-clock
   // per event type. The top-N table rides along in every flight dump.
   EngineProfiler& profiler() { return profiler_; }
   const EngineProfiler& profiler() const { return profiler_; }
 
  private:
-  // Bumps sim.engine.event.fired plus the cached per-label counter.
-  void count_fired(const char* label);
-
   Time now_;
   Time horizon_ = Time::hours(24);
   EventQueue queue_;
   util::Rng rng_;
   std::unique_ptr<trace::Registry> trace_;
   EngineProfiler profiler_;
-  trace::Counter* c_event_fired_;
   trace::Gauge* g_queue_peak_;
   std::size_t queue_peak_ = 0;
-  // Per-label counter cache keyed by label pointer (labels are literals);
-  // the registry dedups by name, so aliased literals still share a counter.
-  std::unordered_map<const void*, trace::Counter*> fired_counters_;
 };
 
 }  // namespace sprite::sim

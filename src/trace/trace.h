@@ -6,9 +6,11 @@
 //
 //   * Metrics — named counters, gauges, and fixed-bucket latency histograms,
 //     keyed by (name, host). Always on: they are plain integer/double work,
-//     and the legacy per-subsystem Stats structs are thin views over them.
-//     Naming convention: `subsystem.noun.verb` ("fs.server.open",
-//     "mig.page.flushed").
+//     and they are the one copy of every subsystem's statistics — tests,
+//     benches and reports read them through counter_value()/counter_total(),
+//     never through a per-subsystem struct. Counters only grow: a
+//     measurement window is a before/after difference. Naming convention:
+//     `subsystem.noun.verb` ("fs.server.open", "mig.page.flushed").
 //
 //   * Events — begin/end spans and instant events with host/pid attribution.
 //     Gated: a disabled registry costs exactly one branch per site and
@@ -66,7 +68,6 @@ class Counter {
  public:
   void inc(std::int64_t n = 1) { v_ += n; }
   std::int64_t value() const { return v_; }
-  void reset() { v_ = 0; }
 
  private:
   std::int64_t v_ = 0;
@@ -77,7 +78,6 @@ class Gauge {
  public:
   void set(double v) { v_ = v; }
   double value() const { return v_; }
-  void reset() { v_ = 0.0; }
 
  private:
   double v_ = 0.0;
@@ -99,7 +99,6 @@ class LatencyHistogram {
   const std::vector<double>& bounds() const { return bounds_; }
   // i in [0, bounds().size()]; the last bucket is the overflow bucket.
   std::int64_t bucket(std::size_t i) const { return counts_[i]; }
-  void reset();
 
  private:
   std::vector<double> bounds_;

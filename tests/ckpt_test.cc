@@ -36,6 +36,12 @@ fs::Bytes make_bytes(const std::string& s) {
   return fs::Bytes(s.begin(), s.end());
 }
 
+// The ckpt.<what> counter of `host`.
+std::int64_t ckpt_count(Cluster& cluster, HostId host,
+                        const std::string& what) {
+  return cluster.sim().trace().counter_value("ckpt." + what, host);
+}
+
 std::vector<std::uint64_t> sweep_seeds() {
   int n = 2;
   if (const char* e = std::getenv("SPRITE_FAULT_SEEDS")) n = std::atoi(e);
@@ -181,10 +187,10 @@ TEST(CkptTest, IncrementalCapturesOnlyDirtyPages) {
 
   auto& ck = cluster.host(ws).ckpt();
   ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok());
-  const auto s1 = ck.stats();
-  EXPECT_EQ(s1.captures, 1);
-  EXPECT_EQ(s1.full_bases, 1);
-  EXPECT_GE(s1.pages_captured, 64);  // the 64 touched pages at least
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.completed"), 1);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.full_base"), 1);
+  const auto pages1 = ckpt_count(cluster, ws, "page.captured");
+  EXPECT_GE(pages1, 64);  // the 64 touched pages at least
   EXPECT_EQ(ck.chain_length(pid), 1);
   EXPECT_EQ(ck.last_seq(pid), 1);
 
@@ -192,10 +198,10 @@ TEST(CkptTest, IncrementalCapturesOnlyDirtyPages) {
   // increment whose size tracks the dirty set — not the 64-page image.
   cluster.sim().run_until(cluster.sim().now() + Time::sec(5.5e0));
   ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok());
-  const auto s2 = ck.stats();
-  EXPECT_EQ(s2.captures, 2);
-  EXPECT_EQ(s2.incrementals, 1);
-  const std::int64_t incr_pages = s2.pages_captured - s1.pages_captured;
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.completed"), 2);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.incremental"), 1);
+  const std::int64_t incr_pages =
+      ckpt_count(cluster, ws, "page.captured") - pages1;
   EXPECT_GE(incr_pages, 4);
   EXPECT_LE(incr_pages, 8) << "increment captured far more than the dirty set";
   EXPECT_EQ(ck.chain_length(pid), 2);
@@ -228,11 +234,10 @@ TEST(CkptTest, ChainCompactsAfterMaxIncrements) {
     ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok()) << "capture " << i;
   }
   cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
-  const auto st = ck.stats();
-  EXPECT_EQ(st.captures, 4);
-  EXPECT_EQ(st.full_bases, 2);
-  EXPECT_EQ(st.incrementals, 2);
-  EXPECT_EQ(st.compactions, 1);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.completed"), 4);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.full_base"), 2);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.incremental"), 2);
+  EXPECT_EQ(ckpt_count(cluster, ws, "chain.compacted"), 1);
   EXPECT_EQ(ck.chain_length(pid), 1);  // fresh base only
   EXPECT_EQ(ck.last_seq(pid), 4);     // seq numbers stay monotonic
 
@@ -256,7 +261,7 @@ TEST(CkptTest, DeclinesPipesAndKeepsProcessRunning) {
 
   const Status st = checkpoint_now(cluster, ws, pid);
   EXPECT_EQ(st.err(), Err::kNotMigratable) << st.to_string();
-  EXPECT_EQ(cluster.host(ws).ckpt().stats().declined, 1);
+  EXPECT_EQ(ckpt_count(cluster, ws, "capture.declined"), 1);
   // The decline must not leave the process frozen.
   auto pcb = cluster.host(ws).procs().find(pid);
   ASSERT_TRUE(pcb != nullptr);
@@ -319,10 +324,7 @@ TEST(CkptTest, CheckpointedProcessSurvivesHostCrash) {
   EXPECT_TRUE(exited) << "checkpointed process never finished";
   EXPECT_EQ(exit_status, 7) << "restart did not run to correct completion";
   // It finished on some surviving host via a restart, not at the grave.
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
   EXPECT_FALSE(cluster.host(home).procs().home_record_alive(pid));
   // Output reflects the full run: the pre-crash write survived (it was
   // flushed by the capture) and the post-restart writes followed.
@@ -424,10 +426,7 @@ void run_fallback_scenario(
 
   EXPECT_TRUE(exited) << "process never finished after fallback restart";
   EXPECT_EQ(exit_status, 7);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
   auto* srv = cluster.file_server(0).fs_server();
   auto stat = srv->stat_path("/out");
   ASSERT_TRUE(stat.is_ok());
@@ -534,7 +533,7 @@ TEST(CkptTest, RestoreWithSupersededIncarnationIsRefused) {
   cluster.run_until_done([&] { return done; });
   EXPECT_EQ(st.err(), Err::kStale) << st.to_string();
   EXPECT_EQ(cluster.host(other).procs().find(pid), nullptr);
-  EXPECT_EQ(cluster.host(other).ckpt().stats().restarts_failed, 1);
+  EXPECT_EQ(ckpt_count(cluster, other, "restart.failed"), 1);
   // The original keeps running: exactly one incarnation.
   EXPECT_NE(cluster.host(runner).procs().find(pid), nullptr);
 }
@@ -571,15 +570,12 @@ TEST(CkptTest, EvictionByCheckpointDepartsAndRestartsElsewhere) {
   EXPECT_EQ(evicted, 1);
   // The frozen copy is gone from the owner's machine immediately.
   EXPECT_EQ(cluster.host(borrowed).procs().find(pid), nullptr);
-  EXPECT_EQ(cluster.host(borrowed).ckpt().stats().departs, 1);
+  EXPECT_EQ(ckpt_count(cluster, borrowed, "depart.completed"), 1);
 
   cluster.sim().run_until(cluster.sim().now() + Time::sec(60));
   EXPECT_TRUE(exited);
   EXPECT_EQ(exit_status, 5);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -603,10 +599,11 @@ TEST(CkptTest, AutocheckpointCapturesOnIntervalAndDirtyThreshold) {
   const Pid pid = spawn_blocking(cluster, ws, "/bin/w");
   cluster.sim().run_until(cluster.sim().now() + Time::sec(28));
 
-  const auto st = ck.stats();
-  EXPECT_GE(st.auto_triggers, 2) << "daemon never triggered on interval";
-  EXPECT_GE(st.captures, 2);
-  EXPECT_GE(st.incrementals, 1) << "follow-up captures should be increments";
+  EXPECT_GE(ckpt_count(cluster, ws, "auto.triggered"), 2)
+      << "daemon never triggered on interval";
+  EXPECT_GE(ckpt_count(cluster, ws, "capture.completed"), 2);
+  EXPECT_GE(ckpt_count(cluster, ws, "capture.incremental"), 1)
+      << "follow-up captures should be increments";
   (void)pid;
 }
 
@@ -735,7 +732,7 @@ TEST(CkptTest, ChainStaysIncrementalAcrossMigration) {
   const Pid pid = spawn_blocking(cluster, home, "/bin/w");
   cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
   ASSERT_TRUE(checkpoint_now(cluster, home, pid).is_ok());
-  EXPECT_EQ(cluster.host(home).ckpt().stats().full_bases, 1);
+  EXPECT_EQ(ckpt_count(cluster, home, "capture.full_base"), 1);
 
   // Move the process; the new host has no chain knowledge, but the head on
   // the shared FS does — its next capture must still be an increment.
@@ -744,8 +741,7 @@ TEST(CkptTest, ChainStaysIncrementalAcrossMigration) {
   EXPECT_EQ(cluster.host(home).ckpt().chain_length(pid), 0)
       << "source should forget the chain when the process departs";
   ASSERT_TRUE(checkpoint_now(cluster, second, pid).is_ok());
-  const auto st = cluster.host(second).ckpt().stats();
-  EXPECT_EQ(st.incrementals, 1)
+  EXPECT_EQ(ckpt_count(cluster, second, "capture.incremental"), 1)
       << "capture after migration restarted the chain instead of extending";
   EXPECT_EQ(cluster.host(second).ckpt().last_seq(pid), 2);
 }
@@ -779,8 +775,8 @@ TEST(CkptTest, CaptureOfProcessReapedMidCaptureFails) {
   ASSERT_TRUE(reaped) << "capture never reached kFlushed";
   EXPECT_EQ(st.err(), Err::kSrch) << st.to_string();
   EXPECT_EQ(ck.active_ops(), 0u);
-  EXPECT_EQ(ck.stats().capture_failures, 1);
-  EXPECT_EQ(ck.stats().captures, 0);
+  EXPECT_EQ(ckpt_count(cluster, runner, "capture.failed"), 1);
+  EXPECT_EQ(ckpt_count(cluster, runner, "capture.completed"), 0);
   EXPECT_EQ(cluster.host(runner).procs().find(pid), nullptr);
 }
 
@@ -867,10 +863,8 @@ TEST(CkptTest, CaptureRacingFileServerCrashRestartsFromSurvivingReplica) {
 
   EXPECT_TRUE(exited) << "process never finished after server+runner death";
   EXPECT_EQ(exit_status, 7);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1) << "expected exactly one restart incarnation";
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1)
+      << "expected exactly one restart incarnation";
 
   // Output converged at the surviving replica: fixed-offset writes make the
   // replayed run idempotent.

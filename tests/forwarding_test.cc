@@ -71,8 +71,9 @@ TEST(ForwardingModeTest, ForwardedFileCallsProduceIdenticalResults) {
   ASSERT_TRUE(cluster.migrate(pid, cluster.workstation(1)).is_ok());
 
   // The stream stayed home: no stream migration at the file server.
+  const auto server = cluster.kernel().file_server().id();
   EXPECT_EQ(
-      cluster.kernel().file_server().fs_server()->stats().stream_migrations,
+      cluster.sim().trace().counter_value("fs.server.stream.migrated", server),
       0);
   EXPECT_EQ(cluster.wait(pid), 0);  // the program verified its own data
 }

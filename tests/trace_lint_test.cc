@@ -18,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -413,6 +414,71 @@ TEST(TraceLintTest, CheckpointMetricsRegisteredAndFlightNoted) {
 
   lint_chrome_json(tr);
   lint_metric_names(tr);
+}
+
+// Subsystem statistics inventory: the registry is the only copy of every
+// per-subsystem statistic, and tests, benches and examples read them by name
+// through counter_value(), which answers 0 for a name nobody registered. So a
+// fresh cluster must register each of these counters on every host that
+// keeps it, or a misspelt read would pass an `== 0` check silently.
+TEST(TraceLintTest, SubsystemCountersRegisteredPerHost) {
+  SpriteCluster cluster({.workstations = 3, .seed = 5});
+  JsonValue root;
+  ASSERT_TRUE(JsonParser(cluster.sim().trace().metrics_json()).parse(root));
+  const JsonValue* counters = root.get("counters");
+  ASSERT_NE(counters, nullptr);
+  std::set<std::pair<std::string, int>> registered;
+  for (const JsonValue& m : counters->arr) {
+    const JsonValue* host = m.get("host");
+    ASSERT_NE(host, nullptr);
+    registered.emplace(m.get_str("name"), static_cast<int>(host->num));
+  }
+
+  const std::vector<std::string> per_workstation = {
+      "fs.client.block.hit",         "fs.client.block.miss",
+      "fs.client.read.sent",         "fs.client.write.sent",
+      "fs.client.name_cache.hit",    "fs.client.name_cache.stale",
+      "fs.client.writeback.bytes",   "fs.client.recall.served",
+      "fs.client.cache.disabled",    "vm.page.faulted",
+      "vm.page.paged_in",            "vm.page.zero_filled",
+      "vm.page.flushed",             "vm.page.remote_pulled",
+      "proc.process.spawned",        "proc.process.forked",
+      "proc.process.execed",         "proc.process.exited",
+      "proc.syscall.entered",        "proc.syscall.forwarded_home",
+      "mig.out.completed",           "mig.in.completed",
+      "mig.out.failed",              "mig.eviction.completed",
+      "ckpt.capture.completed",      "ckpt.capture.failed",
+      "ckpt.capture.full_base",      "ckpt.capture.incremental",
+      "ckpt.capture.declined",       "ckpt.page.captured",
+      "ckpt.restart.completed",      "ckpt.restart.failed",
+      "ckpt.page.restored",          "ckpt.chain.compacted",
+      "ckpt.auto.triggered",         "ckpt.depart.completed",
+      "ckpt.stale.reaped",           "ls.reserve.granted",
+      "ls.reserve.refused",          "ls.eviction.triggered",
+      "ls.gossip.sent",              "ls.offer.sent",
+      "ls.select.requested",         "ls.select.host_granted",
+      "ls.select.empty_grant",       "ls.select.bad_grant",
+  };
+  const std::vector<std::string> per_file_server = {
+      "fs.server.open.served",       "fs.server.open.hinted",
+      "fs.server.close.served",      "fs.server.lookup.components",
+      "fs.server.read.served",       "fs.server.write.served",
+      "fs.server.read.bytes",        "fs.server.write.bytes",
+      "fs.server.recall.sent",       "fs.server.cache.disabled",
+      "fs.server.disk.accessed",     "fs.server.stream.migrated",
+      "fs.server.pipe.read",         "fs.server.pipe.written",
+      "fs.server.pipe.woken",
+  };
+  for (int i = 0; i < cluster.num_workstations(); ++i) {
+    const int host = cluster.workstation(i);
+    for (const std::string& name : per_workstation)
+      EXPECT_TRUE(registered.count({name, host}))
+          << name << " not registered on workstation " << host;
+  }
+  const int server = cluster.kernel().file_server().id();
+  for (const std::string& name : per_file_server)
+    EXPECT_TRUE(registered.count({name, server}))
+        << name << " not registered on file server " << server;
 }
 
 // Replicated-FS metric inventory: every fs.repl.* / fs.failover.* /

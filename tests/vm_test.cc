@@ -2,6 +2,8 @@
 // tracking, flushing to backing store, and space adoption across hosts.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "kern/cluster.h"
 #include "sim/time.h"
 #include "vm/vm.h"
@@ -65,6 +67,11 @@ class VmTest : public ::testing::Test {
     return cluster_.workstations()[static_cast<std::size_t>(i)];
   }
 
+  // A vm.page.<what> counter of host h.
+  std::int64_t pages(sim::HostId h, const std::string& what) {
+    return cluster_.sim().trace().counter_value("vm.page." + what, h);
+  }
+
   Cluster cluster_;
 };
 
@@ -90,19 +97,17 @@ TEST_F(VmTest, MissingExecutableFailsCreation) {
 
 TEST_F(VmTest, CodeFaultsReadFromExecutable) {
   auto sp = create_ok(ws(0), 16, 4, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   EXPECT_TRUE(touch_s(ws(0), sp, Segment::kCode, 0, 16, false).is_ok());
   EXPECT_EQ(sp->segment(Segment::kCode).resident_pages(), 16);
-  EXPECT_EQ(vmm.stats().pages_in, 16);
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 0);
+  EXPECT_EQ(pages(ws(0), "paged_in"), 16);
+  EXPECT_EQ(pages(ws(0), "zero_filled"), 0);
 }
 
 TEST_F(VmTest, HeapFirstTouchIsZeroFill) {
   auto sp = create_ok(ws(0), 4, 32, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   EXPECT_TRUE(touch_s(ws(0), sp, Segment::kHeap, 0, 32, true).is_ok());
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 32);
-  EXPECT_EQ(vmm.stats().pages_in, 0);
+  EXPECT_EQ(pages(ws(0), "zero_filled"), 32);
+  EXPECT_EQ(pages(ws(0), "paged_in"), 0);
   EXPECT_EQ(sp->segment(Segment::kHeap).dirty_pages(), 32);
 }
 
@@ -120,19 +125,17 @@ TEST_F(VmTest, TouchOutOfBoundsRejected) {
 
 TEST_F(VmTest, RepeatedTouchFaultsOnlyOnce) {
   auto sp = create_ok(ws(0), 8, 8, 8);
-  auto& vmm = cluster_.host(ws(0)).vm();
   touch_s(ws(0), sp, Segment::kCode, 0, 8, false);
-  const auto faults = vmm.stats().faults;
+  const auto faults = pages(ws(0), "faulted");
   touch_s(ws(0), sp, Segment::kCode, 0, 8, false);
-  EXPECT_EQ(vmm.stats().faults, faults);
+  EXPECT_EQ(pages(ws(0), "faulted"), faults);
 }
 
 TEST_F(VmTest, FlushWritesDirtyPagesAndCleans) {
   auto sp = create_ok(ws(0), 4, 64, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   touch_s(ws(0), sp, Segment::kHeap, 0, 64, true);
   EXPECT_TRUE(flush_s(ws(0), sp).is_ok());
-  EXPECT_EQ(vmm.stats().pages_flushed, 64);
+  EXPECT_EQ(pages(ws(0), "flushed"), 64);
   EXPECT_EQ(sp->dirty_pages(), 0);
   EXPECT_EQ(sp->segment(Segment::kHeap).resident_pages(), 64);  // stays in
   // The swap file now holds the pages.
@@ -160,10 +163,11 @@ TEST_F(VmTest, ReFaultAfterFlushReadsFromSwap) {
   flush_s(ws(0), sp);
   vmm.invalidate(sp);
   EXPECT_EQ(sp->resident_pages(), 0);
-  vmm.reset_stats();
+  const auto in_before = pages(ws(0), "paged_in");
+  const auto zero_before = pages(ws(0), "zero_filled");
   touch_s(ws(0), sp, Segment::kHeap, 0, 16, false);
-  EXPECT_EQ(vmm.stats().pages_in, 16);  // from swap now, not zero-fill
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 0);
+  EXPECT_EQ(pages(ws(0), "paged_in") - in_before, 16);  // from swap now
+  EXPECT_EQ(pages(ws(0), "zero_filled") - zero_before, 0);
 }
 
 TEST_F(VmTest, AdoptedSpaceDemandPagesFromSharedSwap) {
@@ -195,10 +199,10 @@ TEST_F(VmTest, AdoptedSpaceDemandPagesFromSharedSwap) {
   EXPECT_EQ((*adopted)->asid(), sp->asid());
   EXPECT_EQ((*adopted)->resident_pages(), 0);
 
-  auto& vmm1 = cluster_.host(ws(1)).vm();
-  vmm1.reset_stats();
+  const auto in_before = pages(ws(1), "paged_in");
   EXPECT_TRUE(touch_s(ws(1), *adopted, Segment::kHeap, 0, 32, false).is_ok());
-  EXPECT_EQ(vmm1.stats().pages_in, 32);  // pulled from the server's swap
+  // Pulled from the server's swap.
+  EXPECT_EQ(pages(ws(1), "paged_in") - in_before, 32);
 }
 
 TEST_F(VmTest, DestroyUnlinksSwapFiles) {
