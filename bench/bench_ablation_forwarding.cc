@@ -84,7 +84,10 @@ ModeResult run_mode(FileCallMode mode, int workers) {
   }
 
   const Time t0 = cluster.sim().now();
-  const auto rpcs0 = cluster.host(home).rpc().requests_served();
+  auto served = [&] {
+    return cluster.sim().trace().counter_value("rpc.request.served", home);
+  };
+  const auto rpcs0 = served();
   const Time cpu0 = cluster.host(home).cpu().busy_time(sprite::sim::JobClass::kKernel);
   for (auto pid : pids) SPRITE_CHECK(cluster.wait(pid) == 0);
 
@@ -94,7 +97,7 @@ ModeResult run_mode(FileCallMode mode, int workers) {
       (cluster.host(home).cpu().busy_time(sprite::sim::JobClass::kKernel) -
        cpu0)
           .s();
-  r.home_rpcs = cluster.host(home).rpc().requests_served() - rpcs0;
+  r.home_rpcs = served() - rpcs0;
   return r;
 }
 

@@ -101,10 +101,10 @@ Cell run_cell(int servers, int replicas, bool crash, double serial_s,
   c.makespan_s = (t1 - t0).s();
   c.speedup = serial_s / c.makespan_s;
   c.failed_jobs = r.failed_jobs;
-  c.promotions = bench::sum_counter(*cluster, "fs.failover.promotions");
-  c.reroutes = bench::sum_counter(*cluster, "fs.failover.reroutes");
-  c.reopens = bench::sum_counter(*cluster, "fs.failover.reopens");
-  c.dirty_lost = bench::sum_counter(*cluster, "fs.cache.dirty_lost");
+  c.promotions = cluster->sim().trace().counter_total("fs.failover.promotions");
+  c.reroutes = cluster->sim().trace().counter_total("fs.failover.reroutes");
+  c.reopens = cluster->sim().trace().counter_total("fs.failover.reopens");
+  c.dirty_lost = cluster->sim().trace().counter_total("fs.cache.dirty_lost");
   c.failover_p50_ms =
       bench::merged_latency_percentile(*cluster, "fs.failover.latency_ms", 0.5);
   c.failover_p99_ms = bench::merged_latency_percentile(

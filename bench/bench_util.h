@@ -49,16 +49,6 @@ inline std::unique_ptr<sprite::core::SpriteCluster> sharded_cluster(
   return std::make_unique<sprite::core::SpriteCluster>(co);
 }
 
-// Sum of a counter across every host slot (plus the unscoped slot).
-inline std::int64_t sum_counter(sprite::core::SpriteCluster& cluster,
-                                const std::string& name) {
-  sprite::trace::Registry& tr = cluster.sim().trace();
-  std::int64_t total = tr.counter_value(name, sprite::sim::kInvalidHost);
-  for (std::size_t h = 0; h < cluster.kernel().num_hosts(); ++h)
-    total += tr.counter_value(name, static_cast<sprite::sim::HostId>(h));
-  return total;
-}
-
 // Percentile (0 < q < 1) over a latency histogram merged across all hosts,
 // with linear interpolation inside the winning bucket. Returns 0 when the
 // histogram is empty.

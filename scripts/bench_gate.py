@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff fresh --metrics-out runs against the
-committed baselines in bench/baselines/BENCH_*.json.
+committed baselines in bench/baselines/BENCH_*.json, and perfbench's model
+digests against bench/baselines/perfbench_digests.json.
 
 The simulation is deterministic, so for a given binary + seed the metrics
 snapshot is a function of the code alone. The gate reruns each covered
@@ -24,6 +25,13 @@ real improvement, and either way a human should look.
   - Metrics present on one side only: always reported; new metrics pass
     (registration is additive), vanished metrics fail (a deleted metric
     breaks downstream dashboards silently).
+
+perfbench digests: seeds 1-3 of every workload BENCHMARK.json declares, each
+one `perfbench/run.py --seconds 1 --trace 0` run, whose `digest` line hashes
+the run's whole metrics registry. Any change to a simulated output moves it,
+so the committed digests are matched exactly. perfbench/run.py builds its
+own binary under .bench_build/, whatever --build-dir says. --only skips
+the digests.
 
 Usage:
   scripts/bench_gate.py [--build-dir build] [--update] [--only NAME]
@@ -78,6 +86,9 @@ PERF = [
 ]
 
 PERF_FLOOR_FRAC = 0.25
+
+PERFBENCH_SEEDS = ("1", "2", "3")
+PERFBENCH_DIGESTS = os.path.join(BASELINE_DIR, "perfbench_digests.json")
 
 
 def is_perf(name):
@@ -182,6 +193,62 @@ def compare(name, baseline_path, fresh_path):
     return True
 
 
+def perfbench_digest(workload, seed):
+    """The `digest` line's value of one short perfbench run, or None."""
+    cmd = [sys.executable, os.path.join(REPO, "perfbench", "run.py"),
+           "--workload", workload, "--seed", seed, "--seconds", "1",
+           "--trace", "0"]
+    r = subprocess.run(cmd, stdout=subprocess.PIPE,
+                       stderr=subprocess.STDOUT, text=True, cwd=REPO)
+    digests = [line.split()[1] for line in r.stdout.splitlines()
+               if line.startswith("digest ")]
+    if r.returncode != 0 or len(digests) != 1:
+        print(f"FAIL perfbench {workload} seed {seed}: exited "
+              f"{r.returncode} with {len(digests)} digest line(s)")
+        sys.stdout.write(r.stdout[-2000:])
+        return None
+    return digests[0]
+
+
+def gate_perfbench(update):
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    fresh = {}
+    for w in workloads:
+        for seed in PERFBENCH_SEEDS:
+            digest = perfbench_digest(w, seed)
+            if digest is None:
+                return False
+            fresh.setdefault(w, {})[seed] = digest
+    relpath = os.path.relpath(PERFBENCH_DIGESTS, REPO)
+    if update:
+        with open(PERFBENCH_DIGESTS, "w") as f:
+            json.dump(fresh, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"ok   perfbench: digests updated -> {relpath}")
+        return True
+    try:
+        with open(PERFBENCH_DIGESTS) as f:
+            committed = json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"FAIL perfbench: no readable digests at {relpath}: {e} "
+              f"(run with --update to create)")
+        return False
+    drifted = [f"  {w} seed {seed}: {committed.get(w, {}).get(seed)} -> "
+               f"{digest}"
+               for w, seeds in sorted(fresh.items())
+               for seed, digest in sorted(seeds.items())
+               if committed.get(w, {}).get(seed) != digest]
+    if drifted:
+        print(f"FAIL perfbench: {len(drifted)} digest(s) changed")
+        for line in drifted:
+            print(line)
+        return False
+    print(f"ok   perfbench: {len(workloads) * len(PERFBENCH_SEEDS)} "
+          f"digests match")
+    return True
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", default="build")
@@ -228,6 +295,8 @@ def main():
                 ok = False
         finally:
             os.unlink(fresh)
+    if args.only is None and not gate_perfbench(args.update):
+        ok = False
     return 0 if ok else 1
 
 

@@ -51,31 +51,11 @@ fs::Bytes CkptMeta::encode() const {
   util::Encoder e;
   e.put_i64(kMagic);
   e.put_i64(kVersion);
-  e.put_i64(static_cast<std::int64_t>(pid));
+  pcb.encode(e);
   e.put_i64(seq);
   e.put_u64(chain.size());
   for (std::int64_t s : chain) e.put_i64(s);
-  e.put_i64(incarnation);
-  e.put_i64(static_cast<std::int64_t>(ppid));
-  e.put_i32(home);
-  e.put_str(exe_path);
-  e.put_u64(args.size());
-  for (const auto& a : args) e.put_str(a);
   e.put_bytes(program_state);
-  e.put_i32(view_err);
-  e.put_str(view_msg);
-  e.put_i64(view_rv);
-  e.put_i32(view_aux);
-  e.put_bytes(view_data);
-  e.put_bool(view_is_child);
-  e.put_str(view_text);
-  e.put_i64(remaining_compute_us);
-  e.put_i64(pause_remaining_us);
-  e.put_bool(blocked_in_wait);
-  e.put_bool(kill_pending);
-  e.put_i32(kill_sig);
-  e.put_i32(next_fd);
-  e.put_i64(spawned_at_us);
   e.put_u64(streams.size());
   for (const auto& s : streams) {
     e.put_i32(s.fd);
@@ -116,31 +96,11 @@ util::Result<CkptMeta> CkptMeta::decode(const fs::Bytes& raw) {
   if (d.i64() != kMagic || d.i64() != kVersion)
     return {util::Err::kInval, "checkpoint meta: bad magic/version"};
   CkptMeta m;
-  m.pid = static_cast<proc::Pid>(d.i64());
+  m.pcb = proc::PcbRecord::decode(d);
   m.seq = d.i64();
   const std::uint64_t nchain = d.u64();
   for (std::uint64_t i = 0; i < nchain && d.ok(); ++i) m.chain.push_back(d.i64());
-  m.incarnation = d.i64();
-  m.ppid = static_cast<proc::Pid>(d.i64());
-  m.home = d.i32();
-  m.exe_path = d.str();
-  const std::uint64_t nargs = d.u64();
-  for (std::uint64_t i = 0; i < nargs && d.ok(); ++i) m.args.push_back(d.str());
   m.program_state = d.blob();
-  m.view_err = d.i32();
-  m.view_msg = d.str();
-  m.view_rv = d.i64();
-  m.view_aux = d.i32();
-  m.view_data = d.blob();
-  m.view_is_child = d.boolean();
-  m.view_text = d.str();
-  m.remaining_compute_us = d.i64();
-  m.pause_remaining_us = d.i64();
-  m.blocked_in_wait = d.boolean();
-  m.kill_pending = d.boolean();
-  m.kill_sig = d.i32();
-  m.next_fd = d.i32();
-  m.spawned_at_us = d.i64();
   const std::uint64_t nstreams = d.u64();
   for (std::uint64_t i = 0; i < nstreams && d.ok(); ++i) {
     CkptStream s;

@@ -7,6 +7,11 @@
 //   /ckpt/p<pid>.pages.<seq>    captured page contents, in capture order
 //   /ckpt/p<pid>.head.<seq&1>   committed seq, checksummed (rewritten last)
 //
+// A meta holds the process's proc::PcbRecord, the same record a migration
+// ships (proc/pcb.h owns its fields and codec), plus what only a checkpoint
+// keeps: the chain, the program's state, the streams by path and the page
+// runs.
+//
 // A capture is either a full base (chain == {seq}) or an increment whose
 // meta lists every older member of its chain. The pages file holds only the
 // pages this capture wrote (full base: every page that differs from
@@ -32,7 +37,7 @@
 #include <vector>
 
 #include "fs/types.h"
-#include "proc/program.h"
+#include "proc/pcb.h"
 #include "sim/ids.h"
 #include "util/status.h"
 
@@ -61,36 +66,17 @@ struct CkptMeta {
   static constexpr std::int64_t kMagic = 0x53435250'434B5054;  // "SCRP CKPT"
   // v2: trailing FNV-64 checksum over the encoded payload, so a truncated
   // or bit-flipped meta is detected at decode instead of half-restored.
-  static constexpr std::int64_t kVersion = 2;
+  // v3: the PCB record leads, in proc::PcbRecord's own encoding (same
+  // fields and widths as v2, reordered).
+  static constexpr std::int64_t kVersion = 3;
 
-  // Identity and chain position.
-  proc::Pid pid = proc::kInvalidPid;
+  // The frozen process's PCB record, the one migration ships too. Its
+  // incarnation is the epoch of the copy that captured this.
+  proc::PcbRecord pcb;
+  // Chain position.
   std::int64_t seq = 0;
   std::vector<std::int64_t> chain;  // oldest (base) .. seq, inclusive
-  std::int64_t incarnation = 0;     // epoch of the copy that captured this
-
-  // PCB record (the migration TransferReq's durable subset).
-  proc::Pid ppid = proc::kInvalidPid;
-  sim::HostId home = sim::kInvalidHost;
-  std::string exe_path;
-  std::vector<std::string> args;
   fs::Bytes program_state;  // Program::encode_state at the frozen safe point
-  // Last-action result (ProcessView), replayed into the rebuilt PCB.
-  int view_err = 0;
-  std::string view_msg;
-  std::int64_t view_rv = 0;
-  int view_aux = 0;
-  fs::Bytes view_data;
-  bool view_is_child = false;
-  std::string view_text;
-  // Blocking detail, mirrored from the frozen PCB.
-  std::int64_t remaining_compute_us = 0;
-  std::int64_t pause_remaining_us = 0;
-  bool blocked_in_wait = false;
-  bool kill_pending = false;
-  int kill_sig = 0;
-  int next_fd = 3;
-  std::int64_t spawned_at_us = 0;
 
   // Open streams and memory.
   std::vector<CkptStream> streams;

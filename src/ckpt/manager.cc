@@ -286,7 +286,7 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
                         if (live_capture(token) == nullptr) return;
                         if (mr.is_ok()) {
                           auto m = CkptMeta::decode(*mr);
-                          if (m.is_ok() && m->pid == pid) {
+                          if (m.is_ok() && m->pcb.pid == pid) {
                             Chain& ch = chains_[pid];
                             ch.seqs = m->chain;
                             ch.last_capture = host_.cluster().sim().now();
@@ -332,29 +332,10 @@ CkptMeta CkptManager::build_meta(const proc::Pcb& pcb, std::int64_t seq,
                                  std::vector<std::int64_t> chain,
                                  bool full) const {
   CkptMeta m;
-  m.pid = pcb.pid;
+  m.pcb = pcb.record();
   m.seq = seq;
   m.chain = std::move(chain);
-  m.incarnation = pcb.incarnation;
-  m.ppid = pcb.ppid;
-  m.home = pcb.home;
-  m.exe_path = pcb.exe_path;
-  m.args = pcb.args;
   m.program_state = pcb.program->encode_state();
-  m.view_err = static_cast<int>(pcb.view.status.err());
-  m.view_msg = pcb.view.status.message();
-  m.view_rv = pcb.view.rv;
-  m.view_aux = pcb.view.aux;
-  m.view_data = pcb.view.data;
-  m.view_is_child = pcb.view.is_child;
-  m.view_text = pcb.view.text;
-  m.remaining_compute_us = pcb.remaining_compute.us();
-  m.pause_remaining_us = pcb.pause_remaining.us();
-  m.blocked_in_wait = pcb.blocked_in_wait;
-  m.kill_pending = pcb.kill_pending;
-  m.kill_sig = pcb.kill_sig;
-  m.next_fd = pcb.next_fd;
-  m.spawned_at_us = pcb.spawned_at.us();
   for (const auto& [fd, s] : pcb.fds) {
     CkptStream cs;
     cs.fd = fd;
@@ -652,7 +633,7 @@ void CkptManager::restore_read_chain(std::uint64_t token) {
     if (!mr.is_ok()) return restore_chain_unreadable(token, mr.status());
     auto m = CkptMeta::decode(*mr);
     if (!m.is_ok()) return restore_chain_unreadable(token, m.status());
-    if (m->pid != r.pid || m->seq != seq)
+    if (m->pcb.pid != r.pid || m->seq != seq)
       return restore_chain_unreadable(
           token, Status(Err::kInval, "checkpoint meta identity mismatch"));
     if (seq == r.head_seq) {
@@ -672,43 +653,25 @@ void CkptManager::restore_build(std::uint64_t token) {
   Restore& r = it->second;
   const CkptMeta& m = r.metas.at(r.head_seq);
 
-  const proc::ProgramImage* img = host_.cluster().find_program(m.exe_path);
+  const proc::ProgramImage* img = host_.cluster().find_program(m.pcb.exe_path);
   if (!img)
-    return restore_fail(token, Status(Err::kNoEnt, "unknown executable: " + m.exe_path));
-  auto program = img->factory(m.args);
+    return restore_fail(
+        token, Status(Err::kNoEnt, "unknown executable: " + m.pcb.exe_path));
+  auto program = img->factory(m.pcb.args);
   if (!program)
     return restore_fail(token, Status(Err::kInval, "program factory failed"));
   if (Status ds = program->decode_state(m.program_state); !ds.is_ok())
     return restore_fail(token, ds);
 
   auto pcb = std::make_shared<proc::Pcb>();
-  pcb->pid = m.pid;
-  pcb->ppid = m.ppid;
-  pcb->home = m.home;
+  pcb->record() = m.pcb;
   pcb->current = self_;
   pcb->state = proc::ProcState::kFrozen;
   pcb->incarnation = r.incarnation;
   pcb->program = std::move(program);
-  pcb->view.pid = m.pid;
-  pcb->view.ppid = m.ppid;
-  pcb->view.status = Status(static_cast<Err>(m.view_err), m.view_msg);
-  pcb->view.rv = m.view_rv;
-  pcb->view.aux = m.view_aux;
-  pcb->view.data = m.view_data;
-  pcb->view.is_child = m.view_is_child;
-  pcb->view.text = m.view_text;
-  pcb->exe_path = m.exe_path;
-  pcb->args = m.args;
-  pcb->next_fd = m.next_fd;
-  pcb->remaining_compute = Time::usec(m.remaining_compute_us);
-  pcb->pause_remaining = Time::usec(m.pause_remaining_us);
-  pcb->blocked_in_wait = m.blocked_in_wait;
-  pcb->kill_pending = m.kill_pending;
-  pcb->kill_sig = m.kill_sig;
-  pcb->spawned_at = Time::usec(m.spawned_at_us);
   r.pcb = std::move(pcb);
 
-  vm().create_space(m.exe_path, m.code_pages, m.heap.pages, m.stack.pages,
+  vm().create_space(m.pcb.exe_path, m.code_pages, m.heap.pages, m.stack.pages,
                     [this, token](Result<vm::SpacePtr> rs) {
                       auto it = restores_.find(token);
                       if (it == restores_.end()) return;

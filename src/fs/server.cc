@@ -399,6 +399,7 @@ bool FsServer::verify_range(const Inode& node, std::int64_t offset,
 }
 
 void FsServer::trim_block_meta(Inode& node, std::int64_t keep) {
+  node.blocks.erase(node.blocks.lower_bound(keep), node.blocks.end());
   node.block_sums.erase(node.block_sums.lower_bound(keep),
                         node.block_sums.end());
   node.tainted.erase(node.tainted.lower_bound(keep), node.tainted.end());
@@ -1116,16 +1117,8 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
                if (node == nullptr)
                  return respond(error_reply(Err::kStale, "truncate"));
                node->size = body->size;
-               const std::int64_t keep =
-                   (body->size + costs_.block_size - 1) / costs_.block_size;
-               for (auto it = node->blocks.begin();
-                    it != node->blocks.end();) {
-                 if (it->first >= keep)
-                   it = node->blocks.erase(it);
-                 else
-                   ++it;
-               }
-               trim_block_meta(*node, keep);
+               trim_block_meta(*node, (body->size + costs_.block_size - 1) /
+                                          costs_.block_size);
                ReplRecord rec;
                rec.kind = ReplKind::kTruncate;
                rec.ino = body->id.ino;
@@ -1142,29 +1135,55 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
   respond(error_reply(Err::kNotSupported, "bad io op"));
 }
 
+util::Result<Extent> FsServer::read_at(Inode& node, std::int64_t offset,
+                                       std::int64_t len) {
+  c_reads_->inc();
+  if (!verify_range(node, offset, std::min(len, node.size - offset))) {
+    // Never serve bytes that fail verification: surface kCorrupt and kick a
+    // repair so a later retry can succeed once the replica supplied the
+    // block.
+    c_read_detected_->inc();
+    const std::int64_t first = offset / costs_.block_size;
+    const std::int64_t last =
+        (offset + std::max<std::int64_t>(len, 1) - 1) / costs_.block_size;
+    for (std::int64_t blk = first; blk <= last; ++blk)
+      if (!block_ok(node, blk)) repair_block(node.ino, blk);
+    return Status(Err::kCorrupt, "read: checksum mismatch");
+  }
+  Extent data = pread(node, offset, len);
+  c_bytes_read_->inc(data.size());
+  return data;
+}
+
+void FsServer::write_at(
+    Inode& node, std::int64_t offset, const Extent& data,
+    const std::function<rpc::MessagePtr(std::int64_t)>& reply,
+    Respond respond) {
+  if (disk_full_) {
+    // Rejected before replication: the backup never sees the record, so a
+    // full disk cannot make the replicas diverge.
+    c_nospace_->inc();
+    return respond(error_reply(Err::kNoSpace, "disk full"));
+  }
+  c_writes_->inc();
+  const std::int64_t written = pwrite(node, offset, data);
+  c_bytes_written_->inc(written);
+  rpc::MessagePtr rep = reply(written);
+  replicate_write(node, offset, data,
+                  [rep, respond = std::move(respond)]() mutable {
+                    respond(Reply{Status::ok(), rep});
+                  });
+}
+
 void FsServer::do_read(HostId, const ReadReq& req, Respond respond) {
   if (stale_handle(req.id, req.gen))
     return respond(error_reply(Err::kStale, "read: pre-crash stream"));
   auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
   if (node == nullptr) return respond(error_reply(Err::kStale, "read"));
-  c_reads_->inc();
-  if (!verify_range(*node, req.offset, std::min(req.len,
-                                                node->size - req.offset))) {
-    // Never serve bytes that fail verification: surface kCorrupt and kick a
-    // repair so a later retry can succeed once the replica supplied the
-    // block.
-    c_read_detected_->inc();
-    const std::int64_t first = req.offset / costs_.block_size;
-    const std::int64_t last =
-        (req.offset + std::max<std::int64_t>(req.len, 1) - 1) /
-        costs_.block_size;
-    for (std::int64_t blk = first; blk <= last; ++blk)
-      if (!block_ok(*node, blk)) repair_block(req.id.ino, blk);
-    return respond(error_reply(Err::kCorrupt, "read: checksum mismatch"));
-  }
+  auto data = read_at(*node, req.offset, req.len);
+  if (!data.is_ok()) return respond(Reply{data.status(), nullptr});
   auto rep = std::make_shared<ReadRep>();
-  rep->data = pread(*node, req.offset, req.len);
-  c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
+  rep->data = std::move(*data);
   respond(Reply{Status::ok(), rep});
 }
 
@@ -1173,21 +1192,12 @@ void FsServer::do_write(HostId, const WriteReq& req, Respond respond) {
     return respond(error_reply(Err::kStale, "write: pre-crash stream"));
   auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
   if (node == nullptr) return respond(error_reply(Err::kStale, "write"));
-  if (disk_full_) {
-    // Rejected before replication: the backup never sees the record, so a
-    // full disk cannot make the replicas diverge.
-    c_nospace_->inc();
-    return respond(error_reply(Err::kNoSpace, "disk full"));
-  }
-  c_writes_->inc();
-  auto rep = std::make_shared<WriteRep>();
-  rep->written = pwrite(*node, req.offset, req.data);
-  rep->new_size = node->size;
-  c_bytes_written_->inc(rep->written);
-  replicate_write(*node, req.offset, req.data,
-                  [rep, respond = std::move(respond)]() mutable {
-                    respond(Reply{Status::ok(), rep});
-                  });
+  write_at(*node, req.offset, req.data, [node](std::int64_t written) {
+    auto rep = std::make_shared<WriteRep>();
+    rep->written = written;
+    rep->new_size = node->size;
+    return rep;
+  }, std::move(respond));
 }
 
 void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
@@ -1200,35 +1210,23 @@ void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
   if (it == node->group_offsets.end())
     return respond(error_reply(Err::kInval, "offset not server-managed"));
 
-  auto rep = std::make_shared<GroupIoRep>();
+  std::int64_t& offset = it->second;
   if (op == IoOp::kGroupRead) {
-    c_reads_->inc();
-    if (!verify_range(*node, it->second,
-                      std::min(req.len, node->size - it->second))) {
-      c_read_detected_->inc();
-      return respond(
-          error_reply(Err::kCorrupt, "group read: checksum mismatch"));
-    }
-    rep->data = pread(*node, it->second, req.len);
-    c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
-    it->second += static_cast<std::int64_t>(rep->data.size());
-    rep->new_offset = it->second;
+    auto data = read_at(*node, offset, req.len);
+    if (!data.is_ok()) return respond(Reply{data.status(), nullptr});
+    auto rep = std::make_shared<GroupIoRep>();
+    rep->data = std::move(*data);
+    offset += rep->data.size();
+    rep->new_offset = offset;
     return respond(Reply{Status::ok(), rep});
   }
-  if (disk_full_) {
-    c_nospace_->inc();
-    return respond(error_reply(Err::kNoSpace, "disk full"));
-  }
-  c_writes_->inc();
-  const std::int64_t woff = it->second;
-  rep->written = pwrite(*node, woff, req.data);
-  c_bytes_written_->inc(rep->written);
-  it->second += rep->written;
-  rep->new_offset = it->second;
-  replicate_write(*node, woff, req.data,
-                  [rep, respond = std::move(respond)]() mutable {
-                    respond(Reply{Status::ok(), rep});
-                  });
+  write_at(*node, offset, req.data, [&offset](std::int64_t written) {
+    auto rep = std::make_shared<GroupIoRep>();
+    rep->written = written;
+    offset += written;
+    rep->new_offset = offset;
+    return rep;
+  }, std::move(respond));
 }
 
 void FsServer::notify_pipe_waiters(Inode& node) {
@@ -1770,15 +1768,8 @@ void FsServer::apply_record(const ReplRecord& rec) {
       Inode* node = inodes_.count(rec.ino) ? &inode(rec.ino) : nullptr;
       if (node == nullptr) return;
       node->size = rec.size;
-      const std::int64_t keep =
-          (rec.size + costs_.block_size - 1) / costs_.block_size;
-      for (auto it = node->blocks.begin(); it != node->blocks.end();) {
-        if (it->first >= keep)
-          it = node->blocks.erase(it);
-        else
-          ++it;
-      }
-      trim_block_meta(*node, keep);
+      trim_block_meta(*node,
+                      (rec.size + costs_.block_size - 1) / costs_.block_size);
       node->version = std::max(node->version, rec.version);
       return;
     }

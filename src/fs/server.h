@@ -204,6 +204,15 @@ class FsServer {
   void do_write(sim::HostId src, const WriteReq& req, Respond respond);
   void do_group_io(sim::HostId src, IoOp op, const GroupIoReq& req,
                    Respond respond);
+  // The one read body (kRead, kGroupRead): verified bytes, or kCorrupt with
+  // a repair of each bad block kicked off.
+  util::Result<Extent> read_at(Inode& node, std::int64_t offset,
+                               std::int64_t len);
+  // The one write body (kWrite, kGroupWrite): stores `data` unless the disk
+  // is full, then replies with `reply(bytes written)` once replicated.
+  void write_at(Inode& node, std::int64_t offset, const Extent& data,
+                const std::function<rpc::MessagePtr(std::int64_t)>& reply,
+                Respond respond);
   void do_migrate_stream(const MigrateStreamReq& req, Respond respond);
   void do_pipe_read(sim::HostId src, const PipeIoReq& req, Respond respond);
   void do_pipe_write(sim::HostId src, const PipeIoReq& req, Respond respond);
@@ -247,7 +256,7 @@ class FsServer {
   // Every existing block touched by [offset, offset+len) verifies.
   bool verify_range(const Inode& node, std::int64_t offset,
                     std::int64_t len) const;
-  // Drop checksum/taint bookkeeping for blocks >= `keep` (truncation).
+  // Truncation: drop blocks >= `keep` with their checksum/taint bookkeeping.
   static void trim_block_meta(Inode& node, std::int64_t keep);
   void scrub_tick();
   // Fetch `blk` of `ino` from the replica peer and install it if it matches

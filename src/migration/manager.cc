@@ -380,20 +380,7 @@ void MigrationManager::send_transfer(std::uint64_t token,
   Outgoing& og = it->second;
   PcbPtr pcb = og.pcb;
 
-  body->pid = pcb->pid;
-  body->ppid = pcb->ppid;
-  body->home = pcb->home;
-  body->exe_path = pcb->exe_path;
-  body->args = pcb->args;
-  body->view = pcb->view;
-  body->spawned_at = pcb->spawned_at;
-  body->remaining_compute = pcb->remaining_compute;
-  body->pause_remaining = pcb->pause_remaining;
-  body->blocked_in_wait = pcb->blocked_in_wait;
-  body->kill_pending = pcb->kill_pending;
-  body->kill_sig = pcb->kill_sig;
-  body->next_fd = pcb->next_fd;
-  body->incarnation = pcb->incarnation;
+  body->pcb = pcb->record();
   body->forward_file_calls = pcb->forward_file_calls;
   if (pcb->program != nullptr) {
     auto box = std::make_shared<ProgramBox>();
@@ -683,7 +670,7 @@ void MigrationManager::handle_rpc(HostId src, const Request& req,
 
 void MigrationManager::handle_transfer(HostId src, const TransferReq& req,
                                        std::function<void(Reply)> respond) {
-  auto pit = pending_in_.find(req.pid);
+  auto pit = pending_in_.find(req.pcb.pid);
   if (pit == pending_in_.end() || pit->second != src) {
     respond(Reply{Status(Err::kInval, "transfer without init"), nullptr});
     return;
@@ -691,21 +678,8 @@ void MigrationManager::handle_transfer(HostId src, const TransferReq& req,
   pending_in_.erase(pit);
 
   auto pcb = std::make_shared<Pcb>();
-  pcb->pid = req.pid;
-  pcb->ppid = req.ppid;
-  pcb->home = req.home;
+  pcb->record() = req.pcb;
   pcb->current = self_;
-  pcb->exe_path = req.exe_path;
-  pcb->args = req.args;
-  pcb->view = req.view;
-  pcb->spawned_at = req.spawned_at;
-  pcb->remaining_compute = req.remaining_compute;
-  pcb->pause_remaining = req.pause_remaining;
-  pcb->blocked_in_wait = req.blocked_in_wait;
-  pcb->kill_pending = req.kill_pending;
-  pcb->kill_sig = req.kill_sig;
-  pcb->next_fd = req.next_fd;
-  pcb->incarnation = req.incarnation;
   pcb->forward_file_calls = req.forward_file_calls;
   if (req.box) pcb->program = std::move(req.box->program);
 

@@ -1,4 +1,9 @@
 // RPC wire messages for the kMigration service.
+//
+// A migration's transfer carries the process's proc::PcbRecord as is (the
+// process module owns that encapsulation, and checkpoints store the same
+// record) plus what only migration moves: exported streams, the address
+// space descriptor and the program image.
 #pragma once
 
 #include <cstdint>
@@ -43,23 +48,8 @@ struct ProgramBox {
 };
 
 struct TransferReq : rpc::Message {
-  proc::Pid pid = proc::kInvalidPid;
-  proc::Pid ppid = proc::kInvalidPid;
-  sim::HostId home = sim::kInvalidHost;
-  std::string exe_path;
-  std::vector<std::string> args;
-  proc::ProcessView view;
-  sim::Time spawned_at;
-  sim::Time remaining_compute;
-  sim::Time pause_remaining;
-  bool blocked_in_wait = false;
-  bool kill_pending = false;
-  int kill_sig = 0;
-  int next_fd = 3;
-  // Incarnation epoch the process runs under (see Pcb::incarnation). The
-  // target's kUpdateLocation claim carries it, so a migration racing a
-  // checkpoint restart loses cleanly (kStale) instead of forking the pid.
-  std::int64_t incarnation = 0;
+  // The PCB's movable part, copied out of the frozen process.
+  proc::PcbRecord pcb;
   // Remote-UNIX comparator: the process's file calls are forwarded home
   // (no streams ride along; they stayed at home).
   bool forward_file_calls = false;
@@ -86,7 +76,7 @@ struct TransferReq : rpc::Message {
     std::int64_t n = pcb_bytes;
     n += static_cast<std::int64_t>(streams.size()) * 256;
     if (has_space) n += space.wire_bytes();
-    for (const auto& a : args) n += static_cast<std::int64_t>(a.size());
+    for (const auto& a : pcb.args) n += static_cast<std::int64_t>(a.size());
     return n;
   }
 };

@@ -1,4 +1,13 @@
 // Process control block.
+//
+// A PCB is two parts. PcbRecord, its base, is the process state that
+// crosses hosts: migration ships it in mig::TransferReq and a checkpoint
+// stores it in ckpt::CkptMeta. It is declared once, with its one codec, so
+// the process module owns its encapsulation as each Sprite kernel module
+// does, and capture and install are plain copies of the base. The rest of
+// Pcb stays on its host: the scheduler's handles, in-flight kernel-call
+// state, and the program, address space and streams, which their own
+// modules move.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +21,7 @@
 #include "sim/cpu.h"
 #include "sim/ids.h"
 #include "sim/time.h"
+#include "util/codec.h"
 #include "vm/vm.h"
 
 namespace sprite::proc {
@@ -26,52 +36,66 @@ enum class ProcState : int {
 
 const char* proc_state_name(ProcState s);
 
-struct Pcb {
+struct PcbRecord {
   Pid pid = kInvalidPid;
   Pid ppid = kInvalidPid;
   sim::HostId home = sim::kInvalidHost;
-  sim::HostId current = sim::kInvalidHost;
-  ProcState state = ProcState::kRunnable;
   // Incarnation epoch under the home's pid authority. Bumped by the home
   // when it restarts the process from a checkpoint; a copy carrying an
   // older epoch (a late-thawing migration, a partitioned survivor) is
   // stale and must die rather than run alongside the restarted one.
   std::int64_t incarnation = 0;
 
-  // The "registers + user memory": the running program and its last-action
-  // results. Moved wholesale by migration.
-  std::unique_ptr<Program> program;
-  ProcessView view;
-
   // Executable identity (exec-time migration re-creates the image from it).
   std::string exe_path;
   std::vector<std::string> args;
+  // The last action's results, read by the program's next step.
+  ProcessView view;
+  int next_fd = 3;  // 0-2 notionally reserved
+
+  sim::Time remaining_compute;  // carried across preemption / migration
+  // Blocking detail: how the process thaws on the other host.
+  sim::Time pause_remaining;     // re-armed on the target host
+  bool blocked_in_wait = false;  // parked until a WaitNotify arrives
+  // Signals.
+  bool kill_pending = false;
+  int kill_sig = 0;
+  // When the process was created (age drives long-running heuristics).
+  sim::Time spawned_at;
+
+  // Every field above in order (util/codec.h); the view's pid and ppid are
+  // not stored, since they always equal pid and ppid.
+  void encode(util::Encoder& e) const;
+  static PcbRecord decode(util::Decoder& d);
+};
+
+struct Pcb : PcbRecord {
+  sim::HostId current = sim::kInvalidHost;
+  ProcState state = ProcState::kRunnable;
+
+  // The "registers + user memory": the running program. Moved wholesale by
+  // migration.
+  std::unique_ptr<Program> program;
 
   vm::SpacePtr space;
 
   // Open streams by descriptor.
   std::map<int, fs::StreamPtr> fds;
-  int next_fd = 3;  // 0-2 notionally reserved
 
   bool foreign() const { return home != current; }
+  PcbRecord& record() { return *this; }
+  const PcbRecord& record() const { return *this; }
 
   // ---- Scheduling ----
   sim::CpuJobId cpu_job = sim::kInvalidCpuJob;  // nonzero while computing
-  sim::Time remaining_compute;  // carried across preemption / migration
 
   // ---- Blocking detail (migration must know how to thaw the process) ----
-  bool blocked_in_wait = false;   // parked until a WaitNotify arrives
   bool paused = false;            // sleeping in Pause
   sim::EventHandle pause_event;   // cancelled if frozen mid-sleep
   sim::Time pause_deadline;       // when the sleep would have ended
-  sim::Time pause_remaining;      // re-armed on the target host
   // Inside the migrate-self kernel call: the process is at a safe point and
   // the call "returns" on the target host.
   bool migrate_syscall_pending = false;
-
-  // ---- Signals ----
-  bool kill_pending = false;
-  int kill_sig = 0;
 
   // Remote-UNIX-style comparator: when true, a remote (migrated) process's
   // file kernel calls are forwarded to its home machine instead of running
@@ -87,11 +111,6 @@ struct Pcb {
   // A freeze was requested while the process was mid-action; the dispatcher
   // honours it at the next action boundary.
   std::function<void()> freeze_waiter;
-
-  // Time accounting for utilization reports.
-  sim::Time cpu_used;
-  // When the process was created (age drives long-running heuristics).
-  sim::Time spawned_at;
 };
 
 using PcbPtr = std::shared_ptr<Pcb>;

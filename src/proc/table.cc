@@ -218,7 +218,6 @@ void ProcTable::dispatch(const PcbPtr& pcb, Action action) {
                 if (!p) return;
                 p->cpu_job = sim::kInvalidCpuJob;
                 p->remaining_compute = Time::zero();
-                p->cpu_used += burst;
                 if (p->foreign()) c_foreign_cpu_us_->inc(burst.us());
                 finish_action(p);
               });
@@ -943,15 +942,14 @@ void ProcTable::freeze(const PcbPtr& pcb, std::function<void()> cb) {
     return;
   }
   // Computing: preempt and carry the unserved burst. The served fraction
-  // was burned HERE — credit it now, or it would vanish from cpu_used (the
-  // resumed job on the target only accounts the remainder).
+  // was burned HERE — count it now, or a foreign process's share would
+  // vanish from proc.cpu.foreign_us (the resumed job on the target only
+  // counts the remainder).
   if (pcb->cpu_job != sim::kInvalidCpuJob) {
     const Time unserved = host_.cpu().cancel(pcb->cpu_job);
     const Time served = pcb->remaining_compute - unserved;
-    if (served > Time::zero()) {
-      pcb->cpu_used += served;
-      if (pcb->foreign()) c_foreign_cpu_us_->inc(served.us());
-    }
+    if (served > Time::zero() && pcb->foreign())
+      c_foreign_cpu_us_->inc(served.us());
     pcb->remaining_compute = unserved;
     pcb->cpu_job = sim::kInvalidCpuJob;
     pcb->state = ProcState::kFrozen;
@@ -1025,7 +1023,6 @@ void ProcTable::install_and_resume(const PcbPtr& pcb) {
           if (!p) return;
           p->cpu_job = sim::kInvalidCpuJob;
           p->remaining_compute = Time::zero();
-          p->cpu_used += burst;
           if (p->foreign()) c_foreign_cpu_us_->inc(burst.us());
           finish_action(p);
         });

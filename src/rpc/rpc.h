@@ -189,12 +189,6 @@ class RpcNode {
   };
   std::vector<PendingCallInfo> pending_calls() const;
 
-  // ---- statistics (registry-backed; see trace/trace.h) ----
-  std::int64_t calls_started() const { return c_started_->value(); }
-  std::int64_t retransmissions() const { return c_retrans_->value(); }
-  std::int64_t timeouts() const { return c_timeouts_->value(); }
-  std::int64_t requests_served() const { return c_served_->value(); }
-
  private:
   struct WireRequest {
     std::uint64_t call_id;

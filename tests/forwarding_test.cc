@@ -102,11 +102,13 @@ TEST(ForwardingModeTest, ForwardedCallsLoadTheHomeMachine) {
     const auto pid = cluster.spawn(cluster.workstation(0), "/bin/loop", {});
     cluster.run_for(Time::msec(200));
     EXPECT_TRUE(cluster.migrate(pid, cluster.workstation(1)).is_ok());
-    const auto before =
-        cluster.host(cluster.workstation(0)).rpc().requests_served();
+    auto served = [&] {
+      return cluster.sim().trace().counter_value("rpc.request.served",
+                                                 cluster.workstation(0));
+    };
+    const auto before = served();
     EXPECT_EQ(cluster.wait(pid), 0);
-    *home_rpcs =
-        cluster.host(cluster.workstation(0)).rpc().requests_served() - before;
+    *home_rpcs = served() - before;
   };
 
   std::int64_t fwd_rpcs = 0, xfer_rpcs = 0;

@@ -380,5 +380,66 @@ TEST(FsZeroRunTest, TornPageFlushReplaysIntactRecordAndDiscardsTornOne) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Reads through a server-managed offset take the same integrity path as
+// plain reads.
+// ---------------------------------------------------------------------------
+
+TEST(FsServerOffsetTest, ReadOverFlippedBlockIsRepairedFromReplica) {
+  Cluster cluster(
+      {.num_workstations = 2, .num_file_servers = 1, .fs_replicas = 2});
+  const sim::HostId ws0 = cluster.workstations()[0];
+  const sim::HostId ws1 = cluster.workstations()[1];
+  const Bytes data(static_cast<std::size_t>(cluster.costs().block_size), 'g');
+  {
+    auto w = open_blocking(cluster, ws0, "/shared", OpenFlags::create_rw());
+    bool done = false;
+    cluster.host(ws0).fs().write(w, data, [&](util::Result<std::int64_t> r) {
+      EXPECT_TRUE(r.is_ok());
+      done = true;
+    });
+    cluster.run_until_done([&] { return done; });
+    done = false;
+    cluster.host(ws0).fs().close(w, [&](Status) { done = true; });
+    cluster.run_until_done([&] { return done; });
+  }
+  // Sharing the stream with another host moves its offset to the server, so
+  // reads become kGroupRead.
+  auto s = open_blocking(cluster, ws0, "/shared", OpenFlags::read_only());
+  bool done = false;
+  cluster.host(ws0).fs().export_stream(
+      s, ws1, /*shared_on_source=*/true,
+      [&](util::Result<ExportedStream> r) {
+        EXPECT_TRUE(r.is_ok());
+        done = true;
+      });
+  cluster.run_until_done([&] { return done; });
+  ASSERT_TRUE(s->server_offset);
+
+  // The file's block is the only stored one, so it takes the flip.
+  auto* srv = cluster.file_server().fs_server();
+  srv->inject_bit_flip(0);
+  auto read = [&] {
+    util::Result<Bytes> out(Err::kAgain);
+    bool read_done = false;
+    cluster.host(ws0).fs().read(s, static_cast<std::int64_t>(data.size()),
+                                [&](util::Result<Bytes> r) {
+                                  out = std::move(r);
+                                  read_done = true;
+                                });
+    cluster.run_until_done([&] { return read_done; });
+    return out;
+  };
+  EXPECT_EQ(read().err(), Err::kCorrupt);
+  EXPECT_EQ(srv->group_offset(s->file, s->group), 0);
+  cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
+  EXPECT_EQ(server_counter(cluster, "fs.scrub.repaired"), 1);
+  auto again = read();
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_EQ(*again, data);
+  EXPECT_EQ(srv->group_offset(s->file, s->group),
+            static_cast<std::int64_t>(data.size()));
+}
+
 }  // namespace
 }  // namespace sprite::fs

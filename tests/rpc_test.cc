@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rpc/rpc.h"
@@ -49,6 +50,10 @@ class Rig {
 
   RpcNode& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
   sim::Simulator& sim() { return sim_; }
+  // Host `i`'s value of an rpc.* counter.
+  std::int64_t counter(const std::string& name, HostId i) const {
+    return sim_.trace().counter_value(name, i);
+  }
   sim::Network& net() { return net_; }
 
  private:
@@ -134,8 +139,8 @@ TEST(Rpc, DownServerTimesOutAfterRetries) {
                    [&](util::Result<Reply> r) { err = r.err(); });
   rig.sim().run();
   EXPECT_EQ(err, util::Err::kTimedOut);
-  EXPECT_GE(rig.node(0).retransmissions(), 1);
-  EXPECT_EQ(rig.node(0).timeouts(), 1);
+  EXPECT_GE(rig.counter("rpc.call.retransmitted", 0), 1);
+  EXPECT_EQ(rig.counter("rpc.call.timedout", 0), 1);
 }
 
 TEST(Rpc, ServerRecoveringMidCallStillAnswers) {
@@ -152,7 +157,7 @@ TEST(Rpc, ServerRecoveringMidCallStillAnswers) {
   rig.sim().after(Time::msec(600), [&] { rig.net().set_host_up(1, true); });
   rig.sim().run();
   EXPECT_EQ(result, 8);
-  EXPECT_GE(rig.node(0).retransmissions(), 1);
+  EXPECT_GE(rig.counter("rpc.call.retransmitted", 0), 1);
 }
 
 TEST(Rpc, AtMostOnceDespiteDuplicateDelivery) {
@@ -178,7 +183,7 @@ TEST(Rpc, AtMostOnceDespiteDuplicateDelivery) {
   rig.sim().run();
   EXPECT_EQ(executions, 1);
   EXPECT_EQ(replies, 1);
-  EXPECT_GE(rig.node(0).retransmissions(), 1);
+  EXPECT_GE(rig.counter("rpc.call.retransmitted", 0), 1);
 }
 
 TEST(Rpc, ManyConcurrentCallsAllComplete) {
@@ -227,8 +232,8 @@ TEST(Rpc, StatsCountServedRequests) {
                      [](util::Result<Reply>) {});
   }
   rig.sim().run();
-  EXPECT_EQ(rig.node(0).calls_started(), 5);
-  EXPECT_EQ(rig.node(1).requests_served(), 5);
+  EXPECT_EQ(rig.counter("rpc.call.started", 0), 5);
+  EXPECT_EQ(rig.counter("rpc.request.served", 1), 5);
 }
 
 }  // namespace

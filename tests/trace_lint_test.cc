@@ -469,6 +469,14 @@ TEST(TraceLintTest, SubsystemCountersRegisteredPerHost) {
       "fs.server.pipe.read",         "fs.server.pipe.written",
       "fs.server.pipe.woken",
   };
+  const std::vector<std::string> per_host = {  // every host runs an RpcNode
+      "rpc.call.started",            "rpc.call.retransmitted",
+      "rpc.call.timedout",           "rpc.request.served",
+  };
+  for (std::size_t h = 0; h < cluster.kernel().num_hosts(); ++h)
+    for (const std::string& name : per_host)
+      EXPECT_TRUE(registered.count({name, static_cast<int>(h)}))
+          << name << " not registered on host " << h;
   for (int i = 0; i < cluster.num_workstations(); ++i) {
     const int host = cluster.workstation(i);
     for (const std::string& name : per_workstation)

@@ -517,8 +517,9 @@ TEST(TraceCausalityTest, RetransmittedThenDedupedCallHasOneServeSpan) {
   }
   s.run();
   ASSERT_TRUE(done);
-  EXPECT_GE(nodes[0]->retransmissions(), 1);
-  EXPECT_EQ(nodes[1]->requests_served(), 1);  // dedup hit did not re-serve
+  EXPECT_GE(tr.counter_value("rpc.call.retransmitted", 0), 1);
+  // The dedup hit did not re-serve.
+  EXPECT_EQ(tr.counter_value("rpc.request.served", 1), 1);
 
   SpanId call_span = 0;
   int serve_begins = 0;
